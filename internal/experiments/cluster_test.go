@@ -15,6 +15,17 @@ func clusterTestOptions() ClusterOptions {
 	return o
 }
 
+// clusterGridTestOptions is one batched 2-chip least-work cell on the
+// fixed-rate grid.
+func clusterGridTestOptions() ClusterOptions {
+	o := clusterTestOptions()
+	o.Chips = []int{2}
+	o.Policies = []string{"least-work"}
+	o.BatchWindow = 2e-3
+	o.MaxBatch = 4
+	return o
+}
+
 func TestClusterSweepRejectsBadOptions(t *testing.T) {
 	s := testSuite(t)
 	for name, o := range map[string]ClusterOptions{
@@ -77,11 +88,7 @@ func TestClusterSweepGridAndArtifacts(t *testing.T) {
 		t.Skip("cluster grid sweep")
 	}
 	s := testSuite(t)
-	o := clusterTestOptions()
-	o.Chips = []int{2}
-	o.Policies = []string{"least-work"}
-	o.BatchWindow = 2e-3
-	o.MaxBatch = 4
+	o := clusterGridTestOptions()
 	rows, err := s.ClusterSweep(o)
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,50 @@ func TestElasticAblationGain(t *testing.T) {
 	}
 }
 
+// elasticClusterTestOptions adds the elastic axis to one 2-chip
+// least-work cell.
+func elasticClusterTestOptions() ClusterOptions {
+	o := clusterTestOptions()
+	o.Chips = []int{2}
+	o.Policies = []string{"least-work"}
+	o.Elastic = true
+	return o
+}
+
+// elasticAutoscaleTestOptions serves a 4-minute planet-day on the
+// elastic scheduler against one static 2-chip fleet.
+func elasticAutoscaleTestOptions() AutoscaleOptions {
+	o := autoscaleTestOptions()
+	o.Statics = []int{2}
+	o.Elastic = true
+	// A further-compressed trace: in the overloaded stretches the
+	// re-fission loop replans at every rate-limited stall wakeup, so
+	// elastic serving costs far more sim events per trace second than
+	// the plain sweep — the full compressed planet-day belongs to the
+	// benchmark, not this wiring + conservation test.
+	o.Trace = &trace.Spec{
+		Version:  trace.FormatVersion,
+		Name:     "planet-day-mini",
+		Models:   []string{"GNMT", "SSD-R", "YOLOv3"},
+		QoS:      "QoS-M",
+		Seed:     17,
+		HorizonS: 240,
+		BaseQPS:  13,
+		Diurnal: []trace.RatePoint{
+			{AtS: 0, Mult: 0.35},
+			{AtS: 60, Mult: 1.2},
+			{AtS: 120, Mult: 1.5},
+			{AtS: 180, Mult: 1.0},
+			{AtS: 240, Mult: 0.4},
+		},
+		Crowds:   []trace.Crowd{{AtS: 100, Mult: 8, RampS: 20, DecayS: 40}},
+		ZipfS:    0.9,
+		Users:    200,
+		UserBias: 0.3,
+	}
+	return o
+}
+
 // TestElasticClusterSweepAxis: with Elastic set, the sweep gains
 // Planaria-Elastic rows and the BENCH_cluster.json artifact stays
 // byte-deterministic and records the axis in its header.
@@ -55,10 +99,7 @@ func TestElasticClusterSweepAxis(t *testing.T) {
 		t.Skip("elastic cluster sweep")
 	}
 	s := testSuite(t)
-	o := clusterTestOptions()
-	o.Chips = []int{2}
-	o.Policies = []string{"least-work"}
-	o.Elastic = true
+	o := elasticClusterTestOptions()
 	rows, err := s.ClusterSweep(o)
 	if err != nil {
 		t.Fatal(err)
@@ -107,34 +148,7 @@ func TestElasticAutoscaleAxis(t *testing.T) {
 		t.Skip("elastic autoscale sweep")
 	}
 	s := testSuite(t)
-	o := autoscaleTestOptions()
-	o.Statics = []int{2}
-	o.Elastic = true
-	// A further-compressed trace: in the overloaded stretches the
-	// re-fission loop replans at every rate-limited stall wakeup, so
-	// elastic serving costs far more sim events per trace second than
-	// the plain sweep — the full compressed planet-day belongs to the
-	// benchmark, not this wiring + conservation test.
-	o.Trace = &trace.Spec{
-		Version:  trace.FormatVersion,
-		Name:     "planet-day-mini",
-		Models:   []string{"GNMT", "SSD-R", "YOLOv3"},
-		QoS:      "QoS-M",
-		Seed:     17,
-		HorizonS: 240,
-		BaseQPS:  13,
-		Diurnal: []trace.RatePoint{
-			{AtS: 0, Mult: 0.35},
-			{AtS: 60, Mult: 1.2},
-			{AtS: 120, Mult: 1.5},
-			{AtS: 180, Mult: 1.0},
-			{AtS: 240, Mult: 0.4},
-		},
-		Crowds:   []trace.Crowd{{AtS: 100, Mult: 8, RampS: 20, DecayS: 40}},
-		ZipfS:    0.9,
-		Users:    200,
-		UserBias: 0.3,
-	}
+	o := elasticAutoscaleTestOptions()
 	rows, err := s.AutoscaleSweep(o)
 	if err != nil {
 		t.Fatal(err)
