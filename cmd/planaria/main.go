@@ -6,23 +6,25 @@
 //
 // Experiments: table1, table2, fig12, fig13, fig14, fig15, fig16, fig17,
 // fig18, fig19, ablation, models, trace, chaos, cluster, attrib,
-// autoscale, all.
+// autoscale, all. An unknown name exits 2.
+//
+// -out DIR writes each experiment's deterministic artifact into DIR:
+// BENCH_<experiment>.json for chaos, cluster, attrib and autoscale, and
+// trace.json plus metrics.json for trace.
 //
 // The trace experiment runs one instrumented co-location instance on both
-// systems and writes a Perfetto-loadable timeline (-trace-out) and a
-// metrics snapshot (-metrics-out); open the timeline at ui.perfetto.dev.
+// systems and produces a Perfetto-loadable timeline and a metrics
+// snapshot; open the timeline at ui.perfetto.dev.
 //
 // The chaos experiment sweeps fault-injection rates (-fault-rates) or
 // replays a JSON fault schedule (-faults, see examples/chaos/faults.json)
 // and compares SLA retention under Planaria's fission masking + load
-// shedding (-shed) against PREMA's monolithic derate. -chaos-out writes
-// the deterministic BENCH_chaos.json artifact.
+// shedding (-shed) against PREMA's monolithic derate.
 //
 // The cluster experiment sweeps multi-chip serving: cluster sizes
 // (-chips), balancing policies (-policy), and optional dynamic batching
 // (-batch-window); each cell reports its bisected maximum SLA-meeting
-// QPS for both systems. -cluster-out writes the deterministic
-// BENCH_cluster.json artifact.
+// QPS for both systems.
 //
 // The attrib experiment answers "why did my request miss its SLA?": it
 // runs a mixed-QoS stream through the cluster with the attribution
@@ -30,28 +32,33 @@
 // latency went (admit-wait, batch-wait, queue-wait, compute,
 // preempt-stall, retry-backoff, fault-stall), the dominant cause of
 // each SLA violation, and the per-chip/fleet utilization breakdown
-// (busy/idle/faulted/reconfig cycles). -attrib-out writes the
-// deterministic BENCH_attrib.json artifact.
+// (busy/idle/faulted/reconfig cycles).
 //
 // The autoscale experiment replays a planet-scale workload trace — a
 // 24 h diurnal rate curve with flash crowds (-trace-file for a custom
 // JSON spec) — against a grid of static fleet sizes (-statics) and one
 // autoscaled fleet (-ceiling slots), comparing SLA attainment against
-// chip-hours billed. -autoscale-out writes the deterministic
-// BENCH_autoscale.json artifact.
+// chip-hours billed.
 //
-// Flags tune simulation fidelity; the defaults match EXPERIMENTS.md.
-// Profiling flags (-cpuprofile, -memprofile, -phasestats) live here in
-// the CLI: the simulation packages never read the wall clock (enforced by
-// planaria-vet), so all wall-time accounting stays in this layer.
+// The chaos, cluster, attrib and autoscale experiments start from the
+// experiments package's Default*Options and override only the flags
+// given on the command line. The paper's tables and figures read
+// -requests, -instances and -seed with the defaults below, which match
+// EXPERIMENTS.md. Profiling flags (-cpuprofile, -memprofile,
+// -phasestats) live here in the CLI: the simulation packages never read
+// the wall clock (enforced by planaria-vet), so all wall-time accounting
+// stays in this layer.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -66,14 +73,19 @@ import (
 	"planaria/internal/workload/trace"
 )
 
+// experimentNames lists every experiment the command accepts.
+var experimentNames = []string{"table1", "table2", "fig12", "fig13", "fig14", "fig15",
+	"fig16", "fig17", "fig18", "fig19", "ablation", "models", "trace", "chaos",
+	"cluster", "attrib", "autoscale", "all"}
+
 // phaseClock reports wall-clock and heap-allocation deltas per CLI phase
 // on stderr when -phasestats is set.
 type phaseClock struct {
-	enabled    bool
-	start      time.Time
-	last       time.Time
-	lastBytes  uint64
-	lastObjs   uint64
+	enabled   bool
+	start     time.Time
+	last      time.Time
+	lastBytes uint64
+	lastObjs  uint64
 }
 
 func newPhaseClock(enabled bool) *phaseClock {
@@ -119,67 +131,89 @@ func qosByName(name string) (workload.QoSLevel, error) {
 	return workload.QoSLevel{}, fmt.Errorf("unknown QoS level %q (want S, M, or H)", name)
 }
 
-func main() {
-	os.Exit(run())
+// cli holds the parsed command line.
+type cli struct {
+	requests, instances int
+	seed                int64
+	rate                float64
+	scenario, qos       string
+	faults, faultRates  string
+	shed                string
+	chips, policy       string
+	batchWindow         float64
+	maxBatch            int
+	traceFile, statics  string
+	ceiling             int
+	elastic             bool
+	out                 string
+	given               map[string]bool // flags set on the command line
 }
 
-func run() int {
-	requests := flag.Int("requests", 400, "requests per workload instance")
-	instances := flag.Int("instances", 3, "workload instances (seeds) per evaluation point")
-	seed := flag.Int64("seed", 1, "base random seed")
-	rate := flag.Float64("rate", 100, "fixed arrival rate (QPS) for fig16 and trace")
-	profile := flag.String("profile", "", "print the per-layer compiled profile of a model (e.g. -profile ResNet-50)")
-	profAlloc := flag.Int("alloc", 16, "subarray allocation for -profile")
-	scenario := flag.String("scenario", "A", "workload scenario for trace (A, B, or C)")
-	qosName := flag.String("qos", "M", "QoS level for trace (S, M, or H)")
-	traceOut := flag.String("trace-out", "", "write the trace experiment's Perfetto timeline JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write the trace experiment's metrics snapshot JSON to this file")
-	faultsFile := flag.String("faults", "", "JSON fault schedule to replay in the chaos experiment (overrides -fault-rates)")
-	faultRates := flag.String("fault-rates", "", "comma-separated fault rates (faults/s) for the chaos sweep (default 0,10,40,160)")
-	shedName := flag.String("shed", "doomed", "Planaria admission-control policy for chaos (none, doomed, or priority)")
-	chaosOut := flag.String("chaos-out", "", "write the chaos experiment's BENCH_chaos.json artifact to this file")
-	chipsSpec := flag.String("chips", "", "comma-separated cluster sizes for the cluster experiment (default 1,2,4)")
-	policySpec := flag.String("policy", "all", "comma-separated balancing policies for the cluster experiment (round-robin, least-work, affinity, or all)")
-	batchWindow := flag.Float64("batch-window", 0, "cluster dynamic-batching window in seconds (0 disables batching)")
-	maxBatch := flag.Int("max-batch", 8, "cluster batch size cap (with -batch-window > 0)")
-	clusterOut := flag.String("cluster-out", "", "write the cluster experiment's BENCH_cluster.json artifact to this file")
-	attribOut := flag.String("attrib-out", "", "write the attrib experiment's BENCH_attrib.json artifact to this file")
-	traceFile := flag.String("trace-file", "", "JSON trace spec for the autoscale experiment (default: the built-in 24 h planet-day trace)")
-	staticsSpec := flag.String("statics", "", "comma-separated static fleet sizes for the autoscale experiment (default 1,2,3)")
-	ceiling := flag.Int("ceiling", 0, "autoscaled fleet slot ceiling for the autoscale experiment (default 6)")
-	autoscaleOut := flag.String("autoscale-out", "", "write the autoscale experiment's BENCH_autoscale.json artifact to this file")
-	elastic := flag.Bool("elastic", false, "add the elastic re-fission system as an extra axis in the cluster, autoscale, and ablation experiments")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	phasestats := flag.Bool("phasestats", false, "report per-phase wall-clock and allocations on stderr")
-	flag.Usage = func() {
+func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+func run(args []string) int {
+	var f cli
+	fs := flag.NewFlagSet("planaria", flag.ContinueOnError)
+	fs.IntVar(&f.requests, "requests", 400, "requests per workload instance (chaos, cluster and attrib keep their own default unless given)")
+	fs.IntVar(&f.instances, "instances", 3, "workload instances (seeds) per evaluation point (chaos and cluster keep their own default unless given)")
+	fs.Int64Var(&f.seed, "seed", 1, "base random seed (chaos, cluster and attrib keep their own default unless given)")
+	fs.Float64Var(&f.rate, "rate", 100, "fixed arrival rate (QPS) for fig16, trace and attrib (attrib keeps its own default unless given)")
+	profile := fs.String("profile", "", "print the per-layer compiled profile of a model (e.g. -profile ResNet-50)")
+	profAlloc := fs.Int("alloc", 16, "subarray allocation for -profile")
+	fs.StringVar(&f.scenario, "scenario", "A", "workload scenario (A, B, or C)")
+	fs.StringVar(&f.qos, "qos", "M", "QoS level (S, M, or H)")
+	fs.StringVar(&f.faults, "faults", "", "JSON fault schedule to replay in the chaos experiment (overrides -fault-rates)")
+	fs.StringVar(&f.faultRates, "fault-rates", "", "comma-separated fault rates (faults/s) for the chaos sweep (default 0,10,40,160)")
+	fs.StringVar(&f.shed, "shed", "doomed", "Planaria admission-control policy for chaos (none, doomed, or priority)")
+	fs.StringVar(&f.chips, "chips", "", "comma-separated cluster sizes for the cluster experiment (default 1,2,4)")
+	fs.StringVar(&f.policy, "policy", "all", "comma-separated balancing policies for the cluster experiment (round-robin, least-work, affinity, or all)")
+	fs.Float64Var(&f.batchWindow, "batch-window", 0, "dynamic-batching window in seconds for cluster and attrib (0 disables batching)")
+	fs.IntVar(&f.maxBatch, "max-batch", 8, "batch size cap; applies whenever either batching flag is given")
+	fs.StringVar(&f.traceFile, "trace-file", "", "JSON trace spec for the autoscale experiment (default: the built-in 24 h planet-day trace)")
+	fs.StringVar(&f.statics, "statics", "", "comma-separated static fleet sizes for the autoscale experiment (default 1,2,3)")
+	fs.IntVar(&f.ceiling, "ceiling", 0, "autoscaled fleet slot ceiling for the autoscale experiment (default 6)")
+	fs.BoolVar(&f.elastic, "elastic", false, "add the elastic re-fission system as an extra axis in the cluster, autoscale, and ablation experiments")
+	fs.StringVar(&f.out, "out", "", "write each experiment's artifact into this directory (BENCH_<experiment>.json; trace: trace.json and metrics.json)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	phasestats := fs.Bool("phasestats", false, "report per-phase wall-clock and allocations on stderr")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: planaria [flags] <experiment>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: table1 table2 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 ablation models trace chaos cluster attrib autoscale all\n\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "experiments: %s\n\n", strings.Join(experimentNames, " "))
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	f.given = map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { f.given[fl.Name] = true })
 
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+		pf, err := os.Create(*cpuprofile)
 		if err != nil {
 			return fail(err)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
+		defer pf.Close()
+		if err := pprof.StartCPUProfile(pf); err != nil {
 			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			pf, err := os.Create(*memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "planaria:", err)
 				return
 			}
-			defer f.Close()
+			defer pf.Close()
 			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := pprof.WriteHeapProfile(pf); err != nil {
 				fmt.Fprintln(os.Stderr, "planaria:", err)
 			}
 		}()
@@ -195,14 +229,19 @@ func run() int {
 		phases.mark("profile")
 		return 0
 	}
-	if flag.NArg() == 0 {
-		flag.Usage()
+	if fs.NArg() == 0 {
+		fs.Usage()
 		return 2
 	}
 
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
+	for _, a := range fs.Args() {
 		a = strings.ToLower(a)
+		if !slices.Contains(experimentNames, a) {
+			fmt.Fprintf(os.Stderr, "planaria: unknown experiment %q (want one of: %s)\n",
+				a, strings.Join(experimentNames, " "))
+			return 2
+		}
 		if a == "all" {
 			for _, e := range []string{"models", "table1", "table2", "fig12", "fig13",
 				"fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ablation"} {
@@ -218,7 +257,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	suite.Opt = metrics.Options{Requests: *requests, Instances: *instances, Seed: *seed}
+	suite.Opt = metrics.Options{Requests: f.requests, Instances: f.instances, Seed: f.seed}
 	phases.mark("compile")
 
 	if want["models"] {
@@ -261,7 +300,7 @@ func run() int {
 		}
 	}
 	if want["fig16"] {
-		rows, err := suite.Fig16ScaleOut(*rate)
+		rows, err := suite.Fig16ScaleOut(f.rate)
 		if err != nil {
 			return fail(err)
 		}
@@ -311,7 +350,7 @@ func run() int {
 			return fail(err)
 		}
 		fmt.Println(experiments.FormatPenaltySensitivity(workload.ScenarioC(), workload.QoSMedium, prows))
-		if *elastic {
+		if f.elastic {
 			erows, err := suite.ElasticAblation(workload.ScenarioB(), workload.QoSHard, nil)
 			if err != nil {
 				return fail(err)
@@ -320,69 +359,106 @@ func run() int {
 		}
 		phases.mark("ablation")
 	}
-	if want["trace"] {
-		if err := runTrace(suite, *scenario, *qosName, *rate, *requests, *seed, *traceOut, *metricsOut); err != nil {
-			return fail(err)
+	for _, e := range []struct {
+		name string
+		run  func(*experiments.Suite, *cli) error
+	}{
+		{"trace", runTrace},
+		{"chaos", runChaos},
+		{"cluster", runCluster},
+		{"attrib", runAttrib},
+		{"autoscale", runAutoscale},
+	} {
+		if want[e.name] {
+			if err := e.run(suite, &f); err != nil {
+				return fail(err)
+			}
+			phases.mark(e.name)
 		}
-		phases.mark("trace")
-	}
-	if want["chaos"] {
-		if err := runChaos(suite, *scenario, *qosName, *faultsFile, *faultRates, *shedName, *chaosOut, *requests, *instances, *seed); err != nil {
-			return fail(err)
-		}
-		phases.mark("chaos")
-	}
-	if want["cluster"] {
-		if err := runCluster(suite, *scenario, *qosName, *chipsSpec, *policySpec,
-			*batchWindow, *maxBatch, *clusterOut, *requests, *instances, *seed, *elastic); err != nil {
-			return fail(err)
-		}
-		phases.mark("cluster")
-	}
-	if want["attrib"] {
-		if err := runAttrib(suite, *scenario, *rate, *batchWindow, *maxBatch,
-			*attribOut, *requests, *seed); err != nil {
-			return fail(err)
-		}
-		phases.mark("attrib")
-	}
-	if want["autoscale"] {
-		if err := runAutoscale(suite, *traceFile, *staticsSpec, *ceiling, *autoscaleOut, *elastic); err != nil {
-			return fail(err)
-		}
-		phases.mark("autoscale")
 	}
 	fmt.Printf("done in %.1fs\n", time.Since(start).Seconds())
 	return 0
 }
 
-// runTrace executes the instrumented co-location run and writes its
-// artifacts. Output filenames default next to the working directory.
-func runTrace(suite *experiments.Suite, scenario, qosName string, rate float64, requests int, seed int64, traceOut, metricsOut string) error {
-	sc, err := scenarioByName(scenario)
-	if err != nil {
+// writeArtifact writes data to name inside the -out directory, creating
+// the directory if needed; without -out it writes nothing.
+func (f *cli) writeArtifact(name string, data []byte) error {
+	if f.out == "" {
+		return nil
+	}
+	if err := os.MkdirAll(f.out, 0o755); err != nil {
 		return err
 	}
-	lvl, err := qosByName(qosName)
-	if err != nil {
+	path := filepath.Join(f.out, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	res, err := suite.TracedRun(sc, lvl, rate, requests, seed)
-	if err != nil {
-		return err
+	fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+	return nil
+}
+
+// applyOpt copies -requests, -instances and -seed over an experiment's
+// defaults where they were given.
+func (f *cli) applyOpt(o *metrics.Options) {
+	if f.given["requests"] {
+		o.Requests = f.requests
 	}
-	if traceOut == "" {
-		traceOut = "trace.json"
+	if f.given["instances"] {
+		o.Instances = f.instances
 	}
-	if err := os.WriteFile(traceOut, res.TraceJSON, 0o644); err != nil {
-		return err
+	if f.given["seed"] {
+		o.Seed = f.seed
 	}
-	fmt.Printf("trace: %s (%d bytes) — open at https://ui.perfetto.dev\n", traceOut, len(res.TraceJSON))
-	if metricsOut != "" {
-		if err := os.WriteFile(metricsOut, append(res.MetricsJSON, '\n'), 0o644); err != nil {
+}
+
+// applyWorkload copies -scenario and -qos over an experiment's defaults
+// where they were given; a nil level skips -qos.
+func (f *cli) applyWorkload(sc *workload.Scenario, lvl *workload.QoSLevel) error {
+	var err error
+	if f.given["scenario"] {
+		if *sc, err = scenarioByName(f.scenario); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: %s (%d bytes)\n", metricsOut, len(res.MetricsJSON))
+	}
+	if lvl != nil && f.given["qos"] {
+		if *lvl, err = qosByName(f.qos); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyBatching copies -batch-window where given; -max-batch, default
+// included, applies whenever either batching flag is given.
+func (f *cli) applyBatching(window *float64, maxBatch *int) {
+	if f.given["batch-window"] {
+		*window = f.batchWindow
+	}
+	if f.given["batch-window"] || f.given["max-batch"] {
+		*maxBatch = f.maxBatch
+	}
+}
+
+// runTrace executes the instrumented co-location run and writes its
+// timeline and metrics snapshot.
+func runTrace(suite *experiments.Suite, f *cli) error {
+	sc, err := scenarioByName(f.scenario)
+	if err != nil {
+		return err
+	}
+	lvl, err := qosByName(f.qos)
+	if err != nil {
+		return err
+	}
+	res, err := suite.TracedRun(sc, lvl, f.rate, f.requests, f.seed)
+	if err != nil {
+		return err
+	}
+	if err := f.writeArtifact("trace.json", res.TraceJSON); err != nil {
+		return err
+	}
+	if err := f.writeArtifact("metrics.json", append(res.MetricsJSON, '\n')); err != nil {
+		return err
 	}
 	fmt.Println()
 	fmt.Println(res.MetricsText)
@@ -411,33 +487,30 @@ func parseRates(spec string) ([]float64, error) {
 
 // runChaos executes the fault-injection sweep (or a single replayed
 // schedule) and prints the comparison table.
-func runChaos(suite *experiments.Suite, scenario, qosName, faultsFile, rateSpec, shedName, chaosOut string, requests, instances int, seed int64) error {
-	sc, err := scenarioByName(scenario)
-	if err != nil {
-		return err
-	}
-	lvl, err := qosByName(qosName)
-	if err != nil {
-		return err
-	}
+func runChaos(suite *experiments.Suite, f *cli) error {
 	o := experiments.DefaultChaosOptions()
-	o.Scenario, o.Level = sc, lvl
-	o.Opt = metrics.Options{Requests: requests, Instances: instances, Seed: seed}
-	if o.Shed, err = sim.ParseShedPolicy(shedName); err != nil {
+	if err := f.applyWorkload(&o.Scenario, &o.Level); err != nil {
 		return err
 	}
-	if rateSpec != "" {
-		if o.Rates, err = parseRates(rateSpec); err != nil {
+	f.applyOpt(&o.Opt)
+	var err error
+	if f.given["shed"] {
+		if o.Shed, err = sim.ParseShedPolicy(f.shed); err != nil {
 			return err
 		}
 	}
-	if faultsFile != "" {
-		data, err := os.ReadFile(faultsFile)
+	if f.given["fault-rates"] {
+		if o.Rates, err = parseRates(f.faultRates); err != nil {
+			return err
+		}
+	}
+	if f.given["faults"] {
+		data, err := os.ReadFile(f.faults)
 		if err != nil {
 			return err
 		}
 		if o.Schedule, err = fault.ParseJSON(data); err != nil {
-			return fmt.Errorf("%s: %w", faultsFile, err)
+			return fmt.Errorf("%s: %w", f.faults, err)
 		}
 	}
 	rows, err := suite.ChaosSweep(o)
@@ -445,17 +518,11 @@ func runChaos(suite *experiments.Suite, scenario, qosName, faultsFile, rateSpec,
 		return err
 	}
 	fmt.Println(experiments.FormatChaos(o, rows))
-	if chaosOut != "" {
-		j, err := experiments.ChaosJSON(o, rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(chaosOut, j, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("chaos: %s (%d bytes)\n", chaosOut, len(j))
+	j, err := experiments.ChaosJSON(o, rows)
+	if err != nil {
+		return err
 	}
-	return nil
+	return f.writeArtifact("BENCH_chaos.json", j)
 }
 
 // parseChips decodes a -chips list ("1,2,4").
@@ -503,90 +570,69 @@ func parsePolicies(spec string) ([]string, error) {
 
 // runCluster executes the multi-chip serving sweep and prints the
 // scale-out table.
-func runCluster(suite *experiments.Suite, scenario, qosName, chipsSpec, policySpec string,
-	batchWindow float64, maxBatch int, clusterOut string, requests, instances int, seed int64, elastic bool) error {
-	sc, err := scenarioByName(scenario)
-	if err != nil {
-		return err
-	}
-	lvl, err := qosByName(qosName)
-	if err != nil {
-		return err
-	}
+func runCluster(suite *experiments.Suite, f *cli) error {
 	o := experiments.DefaultClusterOptions()
-	o.Scenario, o.Level = sc, lvl
-	o.Opt = metrics.Options{Requests: requests, Instances: instances, Seed: seed}
-	o.BatchWindow, o.MaxBatch = batchWindow, maxBatch
-	o.Elastic = elastic
-	if chipsSpec != "" {
-		if o.Chips, err = parseChips(chipsSpec); err != nil {
+	if err := f.applyWorkload(&o.Scenario, &o.Level); err != nil {
+		return err
+	}
+	f.applyOpt(&o.Opt)
+	f.applyBatching(&o.BatchWindow, &o.MaxBatch)
+	o.Elastic = f.elastic
+	var err error
+	if f.given["chips"] {
+		if o.Chips, err = parseChips(f.chips); err != nil {
 			return err
 		}
 	}
-	if o.Policies, err = parsePolicies(policySpec); err != nil {
-		return err
+	if f.given["policy"] {
+		if o.Policies, err = parsePolicies(f.policy); err != nil {
+			return err
+		}
 	}
 	rows, err := suite.ClusterSweep(o)
 	if err != nil {
 		return err
 	}
 	fmt.Println(experiments.FormatCluster(o, rows))
-	if clusterOut != "" {
-		j, err := experiments.ClusterJSON(o, rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(clusterOut, j, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("cluster: %s (%d bytes)\n", clusterOut, len(j))
+	j, err := experiments.ClusterJSON(o, rows)
+	if err != nil {
+		return err
 	}
-	return nil
+	return f.writeArtifact("BENCH_cluster.json", j)
 }
 
 // runAttrib executes the SLA attribution run and prints the root-cause
 // breakdown plus utilization tables.
-func runAttrib(suite *experiments.Suite, scenario string, rate, batchWindow float64,
-	maxBatch int, attribOut string, requests int, seed int64) error {
-	sc, err := scenarioByName(scenario)
-	if err != nil {
+func runAttrib(suite *experiments.Suite, f *cli) error {
+	o := experiments.DefaultAttribOptions()
+	if err := f.applyWorkload(&o.Scenario, nil); err != nil {
 		return err
 	}
-	o := experiments.DefaultAttribOptions()
-	o.Scenario = sc
-	o.Opt.Requests, o.Opt.Seed = requests, seed
-	if rate > 0 {
-		o.QPS = rate
-	}
-	if batchWindow > 0 {
-		o.BatchWindow, o.MaxBatch = batchWindow, maxBatch
+	f.applyOpt(&o.Opt)
+	f.applyBatching(&o.BatchWindow, &o.MaxBatch)
+	if f.given["rate"] {
+		o.QPS = f.rate
 	}
 	rows, err := suite.AttribRun(o)
 	if err != nil {
 		return err
 	}
 	fmt.Println(experiments.FormatAttrib(o, rows))
-	if attribOut != "" {
-		j, err := experiments.AttribJSON(o, rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(attribOut, j, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("attrib: %s (%d bytes)\n", attribOut, len(j))
+	j, err := experiments.AttribJSON(o, rows)
+	if err != nil {
+		return err
 	}
-	return nil
+	return f.writeArtifact("BENCH_attrib.json", j)
 }
 
 // runAutoscale replays the planet-scale trace against static fleets and
 // the autoscaled one, printing the SLA-versus-chip-hours table.
-func runAutoscale(suite *experiments.Suite, traceFile, staticsSpec string,
-	ceiling int, autoscaleOut string, elastic bool) error {
+func runAutoscale(suite *experiments.Suite, f *cli) error {
 	o := experiments.DefaultAutoscaleOptions()
-	o.Elastic = elastic
-	if traceFile != "" {
-		data, err := os.ReadFile(traceFile)
+	o.Elastic = f.elastic
+	var err error
+	if f.given["trace-file"] {
+		data, err := os.ReadFile(f.traceFile)
 		if err != nil {
 			return err
 		}
@@ -594,31 +640,24 @@ func runAutoscale(suite *experiments.Suite, traceFile, staticsSpec string,
 			return err
 		}
 	}
-	if staticsSpec != "" {
-		var err error
-		if o.Statics, err = parseChips(staticsSpec); err != nil {
+	if f.given["statics"] {
+		if o.Statics, err = parseChips(f.statics); err != nil {
 			return err
 		}
 	}
-	if ceiling > 0 {
-		o.Chips = ceiling
+	if f.given["ceiling"] {
+		o.Chips = f.ceiling
 	}
 	rows, err := suite.AutoscaleSweep(o)
 	if err != nil {
 		return err
 	}
 	fmt.Println(experiments.FormatAutoscale(o, rows))
-	if autoscaleOut != "" {
-		j, err := experiments.AutoscaleJSON(o, rows)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(autoscaleOut, j, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("autoscale: %s (%d bytes)\n", autoscaleOut, len(j))
+	j, err := experiments.AutoscaleJSON(o, rows)
+	if err != nil {
+		return err
 	}
-	return nil
+	return f.writeArtifact("BENCH_autoscale.json", j)
 }
 
 func fail(err error) int {

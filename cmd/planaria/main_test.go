@@ -1,13 +1,84 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"planaria/internal/experiments"
 	"planaria/internal/fault"
 )
+
+// runCLI runs the command with stdout and stderr redirected to files and
+// returns its exit code and what it wrote to stderr.
+func runCLI(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = stdout, stderr
+	code := run(args)
+	os.Stdout, os.Stderr = oldOut, oldErr
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(msg)
+}
+
+// TestRunRejectsUnknownExperiment: a typo'd experiment name must fail
+// before anything runs, naming the bad argument and the valid ones.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	code, msg := runCLI(t, "table1", "fig99")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	for _, want := range []string{`"fig99"`, "table1", "autoscale", "all"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("stderr missing %s:\n%s", want, msg)
+		}
+	}
+}
+
+// TestOutDirChaosDefaults: with no flag but -out, the chaos experiment
+// runs DefaultChaosOptions and writes exactly its artifact.
+func TestOutDirChaosDefaults(t *testing.T) {
+	dir := t.TempDir()
+	if code, msg := runCLI(t, "-out", dir, "chaos"); code != 0 {
+		t.Fatalf("exit %d: %s", code, msg)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "BENCH_chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := experiments.NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.DefaultChaosOptions()
+	rows, err := suite.ChaosSweep(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.ChaosJSON(o, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("BENCH_chaos.json is not the DefaultChaosOptions artifact:\n%s", got)
+	}
+}
 
 func TestParseRates(t *testing.T) {
 	got, err := parseRates("0, 10,40")

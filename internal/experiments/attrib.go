@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -40,7 +38,7 @@ type AttribOptions struct {
 }
 
 // DefaultAttribOptions is the configuration the attrib CLI experiment
-// and CI smoke run use.
+// uses where no flag overrides it.
 func DefaultAttribOptions() AttribOptions {
 	return AttribOptions{
 		Scenario:    workload.ScenarioA(),
@@ -176,9 +174,8 @@ func FormatAttrib(o AttribOptions, rows []AttribRow) string {
 	return b.String()
 }
 
-// AttribJSON marshals the rows into the deterministic BENCH_attrib.json
-// artifact: options header plus rows, indented, no timestamps — two runs
-// at the same seed must be byte-identical.
+// AttribJSON marshals the rows into the BENCH_attrib.json artifact:
+// options header plus rows.
 func AttribJSON(o AttribOptions, rows []AttribRow) ([]byte, error) {
 	doc := struct {
 		Scenario    string      `json:"scenario"`
@@ -199,11 +196,5 @@ func AttribJSON(o AttribOptions, rows []AttribRow) ([]byte, error) {
 		Requests: o.Opt.Requests, Seed: o.Opt.Seed,
 		Rows: rows,
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return artifactJSON(doc)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -245,10 +243,8 @@ func FormatAutoscale(o AutoscaleOptions, rows []AutoscaleRow) string {
 	return b.String()
 }
 
-// AutoscaleJSON marshals the sweep into the deterministic
-// BENCH_autoscale.json artifact: the full trace spec as the options
-// header plus rows, indented, no timestamps — two runs of the same
-// options must be byte-identical.
+// AutoscaleJSON marshals the sweep into the BENCH_autoscale.json
+// artifact: the full trace spec as the options header plus rows.
 func AutoscaleJSON(o AutoscaleOptions, rows []AutoscaleRow) ([]byte, error) {
 	spec := o.Trace
 	if spec == nil {
@@ -268,11 +264,5 @@ func AutoscaleJSON(o AutoscaleOptions, rows []AutoscaleRow) ([]byte, error) {
 		BootS: o.Scale.BootS, IntervalS: o.Scale.IntervalS,
 		Policy: o.Policy, Elastic: o.Elastic, Rows: rows,
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return artifactJSON(doc)
 }

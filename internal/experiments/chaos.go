@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -40,8 +38,8 @@ type ChaosOptions struct {
 	Opt metrics.Options
 }
 
-// DefaultChaosOptions is the configuration the chaos CLI experiment and
-// CI smoke run use.
+// DefaultChaosOptions is the configuration the chaos CLI experiment uses
+// where no flag overrides it.
 func DefaultChaosOptions() ChaosOptions {
 	return ChaosOptions{
 		Scenario:   workload.ScenarioA(),
@@ -219,9 +217,8 @@ func FormatChaos(o ChaosOptions, rows []ChaosRow) string {
 	return b.String()
 }
 
-// ChaosJSON marshals the sweep into the deterministic BENCH_chaos.json
-// artifact: options header plus rows, indented, no timestamps — two runs
-// at the same seed must be byte-identical.
+// ChaosJSON marshals the sweep into the BENCH_chaos.json artifact:
+// options header plus rows.
 func ChaosJSON(o ChaosOptions, rows []ChaosRow) ([]byte, error) {
 	doc := struct {
 		Scenario   string     `json:"scenario"`
@@ -239,11 +236,5 @@ func ChaosJSON(o ChaosOptions, rows []ChaosRow) ([]byte, error) {
 		Requests: o.Opt.Requests, Instances: o.Opt.Instances, Seed: o.Opt.Seed,
 		Rows: rows,
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return artifactJSON(doc)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -39,7 +37,7 @@ type ClusterOptions struct {
 }
 
 // DefaultClusterOptions is the configuration the cluster CLI experiment
-// and CI smoke run use.
+// uses where no flag overrides it.
 func DefaultClusterOptions() ClusterOptions {
 	return ClusterOptions{
 		Scenario: workload.ScenarioA(),
@@ -232,9 +230,8 @@ func FormatCluster(o ClusterOptions, rows []ClusterRow) string {
 	return b.String()
 }
 
-// ClusterJSON marshals the sweep into the deterministic
-// BENCH_cluster.json artifact: options header plus rows, indented, no
-// timestamps — two runs at the same seed must be byte-identical.
+// ClusterJSON marshals the sweep into the BENCH_cluster.json artifact:
+// options header plus rows.
 func ClusterJSON(o ClusterOptions, rows []ClusterRow) ([]byte, error) {
 	doc := struct {
 		Scenario    string       `json:"scenario"`
@@ -252,11 +249,5 @@ func ClusterJSON(o ClusterOptions, rows []ClusterRow) ([]byte, error) {
 		Requests: o.Opt.Requests, Instances: o.Opt.Instances, Seed: o.Opt.Seed,
 		Rows: rows,
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return artifactJSON(doc)
 }

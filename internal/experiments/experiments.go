@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -277,4 +278,14 @@ func FormatFig15(rows []ServingRow) string {
 			r.Workload, r.QoS, r.PlanariaJ, r.PremaJ, r.EnergyRatio)
 	}
 	return b.String()
+}
+
+// artifactJSON encodes one BENCH_<experiment>.json document: indented,
+// no timestamps, so two runs of the same options are byte-identical.
+func artifactJSON(doc any) ([]byte, error) {
+	j, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(j, '\n'), nil
 }
