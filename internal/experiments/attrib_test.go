@@ -58,8 +58,8 @@ func TestAttribWorkloadMix(t *testing.T) {
 
 // TestAttribRunReportAndArtifact runs the experiment end to end and pins
 // the acceptance properties: per-group request conservation, fleet
-// occupancy partition, a rendered table, and a byte-identical artifact
-// across two runs — the BENCH_attrib.json regression gate.
+// occupancy partition, a rendered table, and the artifact header;
+// TestGolden pins the artifact's bytes.
 func TestAttribRunReportAndArtifact(t *testing.T) {
 	s := testSuite(t)
 	o := attribTestOptions()
@@ -110,17 +110,6 @@ func TestAttribRunReportAndArtifact(t *testing.T) {
 	j1, err := AttribJSON(o, rows)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rows2, err := s.AttribRun(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := AttribJSON(o, rows2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Error("BENCH_attrib.json differs between identical runs")
 	}
 	if !strings.Contains(string(j1), `"scenario": "Workload-A"`) {
 		t.Errorf("artifact missing header:\n%.400s", j1)

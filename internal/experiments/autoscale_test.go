@@ -67,9 +67,8 @@ func TestAutoscaleSweepRejectsBadOptions(t *testing.T) {
 // TestAutoscaleSweepAcceptance is the headline claim scaled to test
 // time: over a diurnal trace with a flash crowd, the autoscaled fleet
 // matches or beats every static row's SLA-hit rate while billing
-// strictly fewer chip-hours than the best static — and the
-// BENCH_autoscale.json artifact is byte-deterministic across fresh
-// sweeps.
+// strictly fewer chip-hours than the best static. TestGolden pins the
+// BENCH_autoscale.json artifact's bytes.
 func TestAutoscaleSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("autoscale sweep")
@@ -132,17 +131,5 @@ func TestAutoscaleSweepAcceptance(t *testing.T) {
 	}
 	if !strings.Contains(string(js1), `"name": "planet-day-compressed"`) {
 		t.Errorf("artifact missing trace header:\n%.400s", js1)
-	}
-	o2 := autoscaleTestOptions() // fresh options: controllers are stateful
-	rows2, err := s.AutoscaleSweep(o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js2, err := AutoscaleJSON(o2, rows2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js1) != string(js2) {
-		t.Error("BENCH_autoscale.json differs between identical sweeps")
 	}
 }

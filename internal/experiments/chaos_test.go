@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"planaria/internal/fault"
@@ -17,29 +16,6 @@ func chaosTestOptions() ChaosOptions {
 	o.Opt = metrics.Options{Requests: 60, Instances: 2, Seed: 11}
 	o.Rates = []float64{0, 40}
 	return o
-}
-
-// TestChaosSweepDeterministic mirrors TestTracedRunDeterministic for the
-// fault path: two sweeps from fresh suites must produce byte-identical
-// BENCH_chaos artifacts.
-func TestChaosSweepDeterministic(t *testing.T) {
-	run := func() []byte {
-		s := testSuite(t)
-		o := chaosTestOptions()
-		rows, err := s.ChaosSweep(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := ChaosJSON(o, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("chaos artifacts differ:\n%s\n---\n%s", a, b)
-	}
 }
 
 // TestChaosZeroRateMatchesPlainServing: the rate-0 row must reproduce

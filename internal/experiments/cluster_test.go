@@ -82,7 +82,8 @@ func TestClusterScaleOut(t *testing.T) {
 }
 
 // TestClusterSweepGridAndArtifacts covers the fixed-rate grid, the table
-// renderer, and byte-determinism of the BENCH_cluster.json artifact.
+// renderer, and the BENCH_cluster.json header; TestGolden pins the
+// artifact's bytes.
 func TestClusterSweepGridAndArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster grid sweep")
@@ -119,17 +120,6 @@ func TestClusterSweepGridAndArtifacts(t *testing.T) {
 	js1, err := ClusterJSON(o, rows)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rows2, err := s.ClusterSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js2, err := ClusterJSON(o, rows2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js1) != string(js2) {
-		t.Error("BENCH_cluster.json differs between identical sweeps")
 	}
 	if !strings.Contains(string(js1), `"scenario": "Workload-A"`) {
 		t.Errorf("artifact missing header:\n%.400s", js1)

