@@ -151,8 +151,9 @@ var DeterministicPackages = map[string]bool{
 	// layer (cmd/planaria), which is not a deterministic package.
 	"obs": true,
 	// The multi-chip serving front end dispatches, batches, and sheds on
-	// simulated time only; BENCH_cluster.json and the 1-chip conformance
-	// artifacts are compared byte-for-byte run-to-run.
+	// simulated time only; BENCH_cluster.json is pinned byte-for-byte by
+	// the experiments goldens and the 1-chip conformance artifacts are
+	// compared byte-for-byte run-to-run.
 	"cluster": true,
 	// Workload generation feeds every byte-compared artifact: the same
 	// seed must yield the same request stream, and the SLA tallies must
@@ -160,7 +161,8 @@ var DeterministicPackages = map[string]bool{
 	"workload": true,
 	// Trace replay doubly so: a trace spec IS a reproducibility claim
 	// (same spec, same seed → the same planet-scale request stream,
-	// byte-for-byte), and BENCH_autoscale.json is compared across runs.
+	// byte-for-byte), and BENCH_autoscale.json is pinned by the
+	// experiments goldens.
 	"trace": true,
 	// The shared simulated-time comparisons (epsilon discipline) back
 	// every scheduling decision above.

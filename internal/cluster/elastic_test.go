@@ -163,8 +163,7 @@ func TestElasticClusterConservation(t *testing.T) {
 }
 
 // TestElasticClusterDeterministic pins two-run byte-identity of the full
-// elastic-on artifact set — including the EvRefission trace timeline the
-// CI smoke job diffs.
+// elastic-on artifact set, including the EvRefission trace timeline.
 func TestElasticClusterDeterministic(t *testing.T) {
 	sys := elasticSystem(t, false)
 	reqs := elasticReqs(t, sys, 80, 23)
