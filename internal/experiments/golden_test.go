@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -87,6 +88,8 @@ var goldenCases = []goldenCase{
 	}},
 	{name: "node-planaria.txt", gen: func(s *Suite) ([]byte, error) { return renderNodeMetrics(s.Planaria) }},
 	{name: "node-prema.txt", gen: func(s *Suite) ([]byte, error) { return renderNodeMetrics(s.PREMA) }},
+	{name: "node-shuffled.txt", gen: renderShuffledNode},
+	{name: "ablation.txt", long: true, gen: renderAblations},
 }
 
 func clusterGolden(s *Suite, o ClusterOptions) ([]byte, error) {
@@ -157,6 +160,58 @@ func renderNodeMetrics(sys metrics.System) ([]byte, error) {
 	return []byte(fmt.Sprintf("%s\nenergy=%x makespan=%x busy=%x fair=%x preempt=%d sla=%v\n",
 		metrics.FormatLatencyTable(stats),
 		out.EnergyJ, out.Makespan, out.BusyTime, out.Fairness, out.Preemptions, out.MeetsSLA)), nil
+}
+
+// renderShuffledNode serves renderNodeMetrics's stream through both
+// systems after shuffling it with a fixed seed: arrivals come out of
+// order, two of them tie with their neighbour, and each request keeps its
+// ID, so IDs no longer match positions. The positional outcome is
+// rendered in hex, which pins the engine's arrival ordering and its
+// position bookkeeping bit for bit.
+func renderShuffledNode(s *Suite) ([]byte, error) {
+	reqs, err := workload.Generate(workload.ScenarioB(), workload.QoSMedium, 40, 120, 7)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range []int{17, 63} {
+		reqs[i].Arrival = reqs[i-1].Arrival
+		reqs[i].Deadline = reqs[i].Arrival + reqs[i].QoS
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	var b strings.Builder
+	for _, sys := range []metrics.System{s.Planaria, s.PREMA} {
+		node := &sim.Node{Cfg: sys.Cfg, Policy: sys.NewPolicy(), Programs: sys.Programs, Params: sys.Params}
+		out, err := node.Run(reqs)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(&b, "%s energy=%x fair=%x preempt=%d\n", sys.Name, out.EnergyJ, out.Fairness, out.Preemptions)
+		for i, r := range reqs {
+			fmt.Fprintf(&b, "%3d id=%3d %x %x\n", i, r.ID, out.Finishes[i], out.Latency[i])
+		}
+	}
+	return []byte(b.String()), nil
+}
+
+// renderAblations renders the penalty-sensitivity and elastic ablation
+// rows, each max-QPS search result in hex.
+func renderAblations(s *Suite) ([]byte, error) {
+	prows, err := s.PenaltySensitivity(workload.ScenarioC(), workload.QoSMedium)
+	if err != nil {
+		return nil, err
+	}
+	erows, err := s.ElasticAblation(workload.ScenarioB(), workload.QoSHard, []int{1})
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	for _, r := range prows {
+		fmt.Fprintf(&b, "penalty scale=%x qps=%x\n", r.Scale, r.QPS)
+	}
+	for _, r := range erows {
+		fmt.Fprintf(&b, "elastic %s|%s chips=%d elastic=%v qps=%x\n", r.Workload, r.QoS, r.Chips, r.Elastic, r.MaxQPS)
+	}
+	return []byte(b.String()), nil
 }
 
 // TestGolden pins every deterministic artifact across commits: each case

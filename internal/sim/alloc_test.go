@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"planaria/internal/workload"
 )
 
 // The event-engine work (DESIGN.md §12) guarantees that steady-state
@@ -76,6 +78,40 @@ func TestRefissionOffRunAllocParity(t *testing.T) {
 	if aElastic > aPlain {
 		t.Fatalf("inactive refissioner run allocates %.1f/op, plain policy %.1f/op (want 0 extra)",
 			aElastic, aPlain)
+	}
+}
+
+// TestNodeRunAllocs pins the allocations of one warm Node.Run on a fixed
+// 16-request stream, with and without a trace: three for the Outcome and
+// its two slices, ten for the chip power breakdown behind the leakage
+// charge. Everything else (tasks, scheduling buffers, the retry queue)
+// comes from pooled state, and the event loop itself allocates nothing.
+func TestNodeRunAllocs(t *testing.T) {
+	const wantAllocs = 13
+	node, prog := testNode(t, nil)
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	node.Policy = &splitPolicy{at: iso}
+	var reqs []workload.Request
+	for i := 0; i < 16; i++ {
+		reqs = append(reqs, req(i, float64(i)*iso/3, 8*iso, 1+i%11))
+	}
+	for _, traced := range []bool{false, true} {
+		node.Trace = nil
+		if traced {
+			node.Trace = &Trace{}
+		}
+		run := func() {
+			if node.Trace != nil {
+				node.Trace.Events = node.Trace.Events[:0]
+			}
+			if _, err := node.Run(reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool, the program tables and the trace buffer
+		if got := testing.AllocsPerRun(50, run); got > wantAllocs {
+			t.Errorf("warm Node.Run (traced=%v): %.1f allocs/op, want at most %d", traced, got, wantAllocs)
+		}
 	}
 }
 

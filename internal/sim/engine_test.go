@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"planaria/internal/arch"
@@ -226,6 +227,59 @@ func TestValidateAllocationContract(t *testing.T) {
 	}
 	if err := validateAllocation(map[int]int{1: -1}, tasks, 16); err == nil {
 		t.Error("negative allocation accepted")
+	}
+}
+
+// contractPolicy returns a fixed allocation map at every event, through
+// Allocate only (the map path).
+type contractPolicy struct{ alloc map[int]int }
+
+func (contractPolicy) Name() string     { return "test-contract" }
+func (contractPolicy) Quantum() float64 { return 0 }
+func (p contractPolicy) Allocate(now float64, tasks []*Task, total int) map[int]int {
+	return p.alloc
+}
+
+// contractSlicePolicy serves the same allocation positionally through
+// AllocateInto (the slice path).
+type contractSlicePolicy struct{ contractPolicy }
+
+func (p contractSlicePolicy) AllocateInto(now float64, tasks []*Task, total int, dst []int) {
+	for i, t := range tasks {
+		dst[i] = p.alloc[t.ID]
+	}
+}
+
+// TestPolicyContractErrors runs two co-arriving requests (IDs 7 and 8)
+// under policies that break the allocation contract; each run must fail
+// with an error naming the offending task, on both the map and the slice
+// path.
+func TestPolicyContractErrors(t *testing.T) {
+	const total = 16
+	cases := []struct {
+		name    string
+		alloc   map[int]int
+		mapOnly bool
+		want    string
+	}{
+		{"negative", map[int]int{7: -1, 8: 1}, false, "task 7"},
+		{"above total", map[int]int{7: total + 1}, false, "task 7"},
+		{"over-allocated sum", map[int]int{7: total, 8: 1}, false, "over-allocated"},
+		{"unknown task", map[int]int{7: 1, 99: 1}, true, "unknown task 99"},
+	}
+	reqs := []workload.Request{req(7, 0, 1, 1), req(8, 0, 1, 1)}
+	for _, c := range cases {
+		pols := []Policy{contractPolicy{c.alloc}}
+		if !c.mapOnly {
+			pols = append(pols, contractSlicePolicy{contractPolicy{c.alloc}})
+		}
+		for _, pol := range pols {
+			node, _ := testNode(t, pol)
+			_, err := node.Run(reqs)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (%T): err = %v, want one containing %q", c.name, pol, err, c.want)
+			}
+		}
 	}
 }
 
