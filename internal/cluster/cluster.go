@@ -26,6 +26,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -333,7 +334,7 @@ type runScratch struct {
 	arrs        []float64
 	dls         []float64
 	prios       []int32
-	doms        []uint8
+	doms        []int32
 	dispatches  []dispatchRec
 	ends        []float64 // autoscaled runs: estimated completion per dispatch record
 	memberArena []int
@@ -365,6 +366,9 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 	}
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("cluster: no requests")
+	}
+	if err := workload.Validate(reqs); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	policy := cfg.Policy
 	if policy == "" {
@@ -513,29 +517,19 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		}
 	}
 	// One pass over the input stream extracts everything the later stages
-	// need from it: the identity-ID fast path (ID == input index, what
-	// workload.Generate emits, is trivially unique and skips the map),
-	// arrival monotonicity, the memoized work multipliers, a flat copy of
-	// the arrival times (the completion merge then touches 8 bytes per
-	// request instead of the whole record), the earliest arrival, and the
-	// not-yet-completed marker fill.
-	identityIDs := true
+	// need from it: arrival monotonicity, the memoized work multipliers, a
+	// flat copy of the arrival times (the completion merge then touches 8
+	// bytes per request instead of the whole record), the earliest
+	// arrival, and the not-yet-completed marker fill.
 	arrivalsSorted := true
 	firstArrival := math.Inf(1)
 	prevArr := math.Inf(-1)
-	// Domains intern in first-sight order (the order SLAOutcome would
-	// tally them); the ID column feeds the flat SLA pass at the end.
-	// More than 255 distinct domains overflows the uint8 column and
-	// falls back to the record-walking SLA path.
-	// Domain intern table: a serving mix has a handful of domains, so a
-	// small preallocation absorbs the interning appends.
+	// Domains intern in first-sight order into the ID column the flat SLA
+	// pass tallies at the end. A serving mix has a handful of domains, so
+	// a small preallocation absorbs the interning appends.
 	domNames := make([]string, 0, 8)
-	domOverflow := false
 	for i := range reqs {
 		r := &reqs[i]
-		if r.ID != i {
-			identityIDs = false
-		}
 		if r.Arrival < prevArr {
 			arrivalsSorted = false
 		}
@@ -551,33 +545,13 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		}
 		dls[i] = r.Deadline
 		prios[i] = int32(r.Priority)
-		domID := -1
-		for j, d := range domNames {
-			if d == r.Domain {
-				domID = j
-				break
-			}
-		}
+		domID := slices.Index(domNames, r.Domain)
 		if domID < 0 {
-			if len(domNames) >= 256 {
-				domOverflow = true
-				domID = 0
-			} else {
-				domID = len(domNames)
-				domNames = append(domNames, r.Domain)
-			}
+			domID = len(domNames)
+			domNames = append(domNames, r.Domain)
 		}
-		doms[i] = uint8(domID)
+		doms[i] = int32(domID)
 		out.Finishes[i] = -1
-	}
-	if !identityIDs {
-		seen := make(map[int]bool, len(reqs))
-		for i := range reqs {
-			if seen[reqs[i].ID] {
-				return nil, fmt.Errorf("cluster: duplicate request ID %d", reqs[i].ID)
-			}
-			seen[reqs[i].ID] = true
-		}
 	}
 
 	// Stage 1: admission, in arrival order (ties by input index). A
@@ -1263,11 +1237,7 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		out.Retries += cr.Outcome.Retries
 		out.FaultEvents += cr.Outcome.FaultEvents
 	}
-	if domOverflow {
-		out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcome(reqs, out.Finishes)
-	} else {
-		out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcomeFlat(doms, domNames, dls, out.Finishes)
-	}
+	out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcomeFlat(doms, domNames, dls, out.Finishes)
 
 	if cfg.Trace != nil {
 		if len(frontC) > 0 {

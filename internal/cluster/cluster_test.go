@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -533,6 +534,38 @@ func TestClusterRunDeterministic(t *testing.T) {
 		}
 		if a, b := run(), run(); a != b {
 			t.Errorf("%s: cluster run not deterministic", pol)
+		}
+	}
+}
+
+// TestRunRejectsMalformedRequests feeds cluster.Run one malformed field
+// at a time: each call fails before any event is recorded, with an error
+// naming the request and the field.
+func TestRunRejectsMalformedRequests(t *testing.T) {
+	sys := spatialSystem(t)
+	cases := []struct {
+		name  string
+		edit  func(r *workload.Request)
+		field string
+	}{
+		{"NaN arrival", func(r *workload.Request) { r.Arrival = math.NaN() }, "Arrival"},
+		{"+Inf arrival", func(r *workload.Request) { r.Arrival = math.Inf(1) }, "Arrival"},
+		{"negative arrival", func(r *workload.Request) { r.Arrival = -1 }, "Arrival"},
+		{"NaN deadline", func(r *workload.Request) { r.Deadline = math.NaN() }, "Deadline"},
+		{"negative work", func(r *workload.Request) { r.Work = -1 }, "Work"},
+		{"duplicate ID", func(r *workload.Request) { r.ID = 0 }, "ID"},
+	}
+	for _, c := range cases {
+		reqs := genReqs(4, 100, 1, 1)
+		c.edit(&reqs[2])
+		tr := &sim.Trace{}
+		_, err := Run(Config{System: sys, Chips: 2, Trace: tr}, reqs)
+		var re *workload.RequestError
+		if !errors.As(err, &re) || re.Index != 2 || re.Field != c.field {
+			t.Errorf("%s: err = %v, want a RequestError for index 2, field %s", c.name, err, c.field)
+		}
+		if len(tr.Events) != 0 {
+			t.Errorf("%s: %d events recorded before the error", c.name, len(tr.Events))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -159,17 +160,19 @@ func TestDeterminism(t *testing.T) {
 
 func TestUnknownModelRejected(t *testing.T) {
 	node, _ := testNode(t, fullPolicy{})
-	node.Strict = true
 	bad := workload.Request{ID: 0, Model: "no-such-model", Arrival: 0, QoS: 1, Deadline: 1, Priority: 1}
-	if _, err := node.Run([]workload.Request{bad}); err == nil {
-		t.Fatal("expected unknown-model error in strict mode")
+	out, err := node.Run([]workload.Request{bad})
+	if err != nil {
+		t.Fatalf("an unknown model must reject its request, not fail the run: %v", err)
+	}
+	if out.Rejected != 1 || out.Finishes[0] != -1 {
+		t.Fatalf("Rejected = %d, Finishes[0] = %g; want 1 and -1", out.Rejected, out.Finishes[0])
 	}
 }
 
-// TestUnknownModelRejectionOutcome checks the default (non-strict)
-// behavior: a request for an unknown model becomes a per-request
-// rejection rather than failing the whole run, and the other requests
-// finish untouched.
+// TestUnknownModelRejectionOutcome checks that a request for an unknown
+// model becomes a per-request rejection rather than failing the whole
+// run, and the other requests finish untouched.
 func TestUnknownModelRejectionOutcome(t *testing.T) {
 	node, _ := testNode(t, fullPolicy{})
 	node.Trace = &Trace{}
@@ -207,6 +210,38 @@ func TestUnknownModelRejectionOutcome(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMalformedRequests feeds Node.Run one malformed field at
+// a time: each run fails before any event is simulated, with an error
+// naming the request and the field.
+func TestRunRejectsMalformedRequests(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(r *workload.Request)
+		field string
+	}{
+		{"NaN arrival", func(r *workload.Request) { r.Arrival = math.NaN() }, "Arrival"},
+		{"+Inf arrival", func(r *workload.Request) { r.Arrival = math.Inf(1) }, "Arrival"},
+		{"negative arrival", func(r *workload.Request) { r.Arrival = -1 }, "Arrival"},
+		{"NaN deadline", func(r *workload.Request) { r.Deadline = math.NaN() }, "Deadline"},
+		{"+Inf work", func(r *workload.Request) { r.Work = math.Inf(1) }, "Work"},
+		{"duplicate ID", func(r *workload.Request) { r.ID = 0 }, "ID"},
+	}
+	for _, c := range cases {
+		node, _ := testNode(t, fullPolicy{})
+		node.Trace = &Trace{}
+		reqs := []workload.Request{req(0, 0, 1, 1), req(1, 1e-3, 1, 1)}
+		c.edit(&reqs[1])
+		_, err := node.Run(reqs)
+		var re *workload.RequestError
+		if !errors.As(err, &re) || re.Index != 1 || re.Field != c.field {
+			t.Errorf("%s: err = %v, want a RequestError for index 1, field %s", c.name, err, c.field)
+		}
+		if len(node.Trace.Events) != 0 {
+			t.Errorf("%s: %d events simulated before the error", c.name, len(node.Trace.Events))
+		}
+	}
+}
+
 func TestEmptyRunRejected(t *testing.T) {
 	node, _ := testNode(t, fullPolicy{})
 	if _, err := node.Run(nil); err == nil {
@@ -216,16 +251,26 @@ func TestEmptyRunRejected(t *testing.T) {
 
 func TestValidateAllocationContract(t *testing.T) {
 	tasks := []*Task{{ID: 1}, {ID: 2}}
-	if err := validateAllocation(map[int]int{1: 8, 2: 8}, tasks, 16); err != nil {
+	alloc := make([]int, len(tasks))
+	if err := allocFromMap(map[int]int{1: 8, 2: 8}, tasks, alloc); err != nil {
+		t.Fatal(err)
+	}
+	if alloc[0] != 8 || alloc[1] != 8 {
+		t.Errorf("allocFromMap = %v, want [8 8]", alloc)
+	}
+	if err := validateAllocation(alloc, tasks, 16); err != nil {
 		t.Errorf("valid allocation rejected: %v", err)
 	}
-	if err := validateAllocation(map[int]int{1: 9, 2: 8}, tasks, 16); err == nil {
+	if err := allocFromMap(map[int]int{2: 3}, tasks, alloc); err != nil || alloc[0] != 0 || alloc[1] != 3 {
+		t.Errorf("omitted task: alloc %v, err %v; want [0 3]", alloc, err)
+	}
+	if err := allocFromMap(map[int]int{5: 1, 3: 1, 1: 1}, tasks, alloc); err == nil || !strings.Contains(err.Error(), "unknown task 3") {
+		t.Errorf("unknown-task allocation: err = %v, want the smallest unknown ID 3", err)
+	}
+	if err := validateAllocation([]int{9, 8}, tasks, 16); err == nil {
 		t.Error("over-allocation accepted")
 	}
-	if err := validateAllocation(map[int]int{3: 1}, tasks, 16); err == nil {
-		t.Error("unknown-task allocation accepted")
-	}
-	if err := validateAllocation(map[int]int{1: -1}, tasks, 16); err == nil {
+	if err := validateAllocation([]int{-1, 0}, tasks, 16); err == nil {
 		t.Error("negative allocation accepted")
 	}
 }
@@ -264,7 +309,7 @@ func TestPolicyContractErrors(t *testing.T) {
 	}{
 		{"negative", map[int]int{7: -1, 8: 1}, false, "task 7"},
 		{"above total", map[int]int{7: total + 1}, false, "task 7"},
-		{"over-allocated sum", map[int]int{7: total, 8: 1}, false, "over-allocated"},
+		{"over-allocated sum", map[int]int{7: total, 8: 1}, false, "task 8"},
 		{"unknown task", map[int]int{7: 1, 99: 1}, true, "unknown task 99"},
 	}
 	reqs := []workload.Request{req(7, 0, 1, 1), req(8, 0, 1, 1)}

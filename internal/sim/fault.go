@@ -101,25 +101,17 @@ const (
 	defaultRetryCap  = 5e-3
 )
 
-func (n *Node) retryBase() float64 {
-	if n.RetryBase > 0 {
-		return n.RetryBase
-	}
-	return defaultRetryBase
-}
-
-func (n *Node) retryCap() float64 {
-	if n.RetryCap > 0 {
-		return n.RetryCap
-	}
-	return defaultRetryCap
-}
-
 // backoff returns the capped exponential delay before a task's attempt-th
 // re-enqueue (attempt ≥ 1). Doubling a float is exact, so this is
 // deterministic without math.Pow.
 func (n *Node) backoff(attempt int) float64 {
-	b, lim := n.retryBase(), n.retryCap()
+	b, lim := n.RetryBase, n.RetryCap
+	if b <= 0 {
+		b = defaultRetryBase
+	}
+	if lim <= 0 {
+		lim = defaultRetryCap
+	}
 	for i := 1; i < attempt && b < lim; i++ {
 		b *= 2
 	}

@@ -8,7 +8,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"planaria/internal/arch"
 	"planaria/internal/compiler"
@@ -316,51 +317,48 @@ type SliceAllocator interface {
 	AllocateInto(now float64, tasks []*Task, total int, dst []int)
 }
 
-// validateAllocationSlice enforces the policy contract on the slice fast
-// path without allocating. Unknown-task violations cannot occur (slots
-// are positional), so only the range and sum checks remain; the first
-// violation is reported in task-position order, which is deterministic
-// run-to-run.
-func validateAllocationSlice(alloc []int, tasks []*Task, total int) error {
-	sum := 0
+// allocFromMap copies a policy's allocation map into the positional
+// slice dst (dst[i] is tasks[i]'s allocation; a task missing from the map
+// gets 0). A key naming no active task breaks the contract; the smallest
+// such ID is reported, so the error is the same run to run.
+func allocFromMap(alloc map[int]int, tasks []*Task, dst []int) error {
+	found := 0
+	for i, t := range tasks {
+		a, ok := alloc[t.ID]
+		if ok {
+			found++
+		}
+		dst[i] = a
+	}
+	if found < len(alloc) {
+		unknown := math.MaxInt
+		for id := range alloc { //det:mapiter-ok min over keys is order-insensitive
+			if id < unknown && !slices.ContainsFunc(tasks, func(t *Task) bool { return t.ID == id }) {
+				unknown = id
+			}
+		}
+		return fmt.Errorf("sim: policy allocated to unknown task %d", unknown)
+	}
+	return nil
+}
+
+// validateAllocation enforces the policy contract on a positional
+// allocation without allocating: every entry within [0, total] and their
+// sum within total. The first violation is reported in task-position
+// order, which is deterministic run to run.
+func validateAllocation(alloc []int, tasks []*Task, total int) error {
+	sum, over := 0, -1
 	for i, a := range alloc {
 		if a < 0 || a > total {
 			return fmt.Errorf("sim: allocation %d for task %d outside [0,%d]", a, tasks[i].ID, total)
 		}
 		sum += a
-	}
-	if sum > total {
-		return fmt.Errorf("sim: policy over-allocated %d of %d subarrays", sum, total)
-	}
-	return nil
-}
-
-// validateAllocation enforces the policy contract.
-func validateAllocation(alloc map[int]int, tasks []*Task, total int) error {
-	sum := 0
-	ids := make(map[int]bool, len(tasks))
-	for _, t := range tasks {
-		ids[t.ID] = true
-	}
-	// Iterate task IDs in sorted order so the first validation error is
-	// the same run-to-run (map order would pick an arbitrary one).
-	allocated := make([]int, 0, len(alloc))
-	for id := range alloc {
-		allocated = append(allocated, id)
-	}
-	sort.Ints(allocated)
-	for _, id := range allocated {
-		a := alloc[id]
-		if !ids[id] {
-			return fmt.Errorf("sim: policy allocated to unknown task %d", id)
+		if sum > total && over < 0 {
+			over = i
 		}
-		if a < 0 || a > total {
-			return fmt.Errorf("sim: allocation %d for task %d outside [0,%d]", a, id, total)
-		}
-		sum += a
 	}
-	if sum > total {
-		return fmt.Errorf("sim: policy over-allocated %d of %d subarrays", sum, total)
+	if over >= 0 {
+		return fmt.Errorf("sim: policy over-allocated %d of %d subarrays (task %d exceeds the chip)", sum, total, tasks[over].ID)
 	}
 	return nil
 }

@@ -160,6 +160,65 @@ func Generate(sc Scenario, level QoSLevel, qps float64, n int, seed int64) ([]Re
 	return reqs, nil
 }
 
+// RequestError reports a malformed request: its index in the stream, its
+// ID, and the offending field.
+type RequestError struct {
+	Index, ID int
+	Field     string
+	Problem   string
+}
+
+func (e *RequestError) Error() string {
+	return fmt.Sprintf("workload: request %d (ID %d): %s %s", e.Index, e.ID, e.Field, e.Problem)
+}
+
+// Validate checks a request stream in one pass before it is served:
+// every arrival is a finite time ≥ 0, no deadline is NaN, every Work is
+// finite and ≥ 0 (0 means 1), and IDs are unique. QoS is not checked: a
+// merged batch's QoS is measured from its dispatch instant and can be
+// negative. IDs that increase along the stream, as in generated streams,
+// are unique without a lookup table. The first violation is returned as
+// a *RequestError.
+//
+//perf:cold boundary check: one pass over the stream before any event is simulated
+func Validate(reqs []Request) error {
+	var seen map[int]bool
+	for i := range reqs {
+		r := &reqs[i]
+		if field, problem := badField(r); field != "" {
+			return &RequestError{Index: i, ID: r.ID, Field: field, Problem: problem}
+		}
+		if seen == nil {
+			if i == 0 || r.ID > reqs[i-1].ID {
+				continue
+			}
+			seen = make(map[int]bool, len(reqs))
+			for j := 0; j < i; j++ {
+				seen[reqs[j].ID] = true
+			}
+		}
+		if seen[r.ID] {
+			return &RequestError{Index: i, ID: r.ID, Field: "ID", Problem: "is a duplicate"}
+		}
+		seen[r.ID] = true
+	}
+	return nil
+}
+
+// badField names r's first malformed numeric field and what is wrong
+// with it, or returns empty strings.
+func badField(r *Request) (field, problem string) {
+	switch {
+	case !(r.Arrival >= 0) || math.IsInf(r.Arrival, 1):
+		return "Arrival", fmt.Sprintf("%g is not a finite time ≥ 0", r.Arrival)
+	case math.IsNaN(r.Deadline):
+		return "Deadline", "is NaN"
+	case !(r.Work >= 0) || math.IsInf(r.Work, 1):
+		return "Work", fmt.Sprintf("%g is not a finite multiplier ≥ 0", r.Work)
+	}
+	return "", ""
+}
+
 func domainOf(model string) string {
 	switch model {
 	case "GNMT":
@@ -197,47 +256,13 @@ func MeetsSLA(reqs []Request, finishes []float64) bool {
 	return true
 }
 
-// SLAOutcome computes MeetsSLA and DeadlineFraction together in a
-// single pass over the stream — the two results the serving layers
-// always want as a pair. It returns exactly what the separate calls
-// would: (false, 0) on a length mismatch, and identical per-domain and
-// overall tallies otherwise.
-func SLAOutcome(reqs []Request, finishes []float64) (bool, float64) {
-	if len(reqs) != len(finishes) {
-		return false, 0
-	}
-	if len(reqs) == 0 {
-		return true, 0 // matches MeetsSLA (vacuous) and DeadlineFraction
-	}
-	per := make([]domCount, 0, 8)
-	var c *domCount
-	ok := 0
-	for i := range reqs {
-		r := &reqs[i]
-		per, c = domSlot(per, r.Domain)
-		c.total++
-		if finishes[i] >= 0 && finishes[i] <= r.Deadline+1e-12 {
-			c.ok++
-			ok++
-		}
-	}
-	meets := true
-	for i := range per {
-		if float64(per[i].ok) < SLATarget(per[i].dom)*float64(per[i].total)-1e-9 {
-			meets = false
-			break
-		}
-	}
-	return meets, float64(ok) / float64(len(reqs))
-}
-
-// SLAOutcomeFlat is SLAOutcome over pre-flattened columns: domIDs[i]
-// indexes domNames (interned in first-sight order), deadlines[i] is the
-// request's deadline. Serving layers that already stream the request
-// array once can build these columns in that pass and keep the SLA
-// tally off the 96-byte-stride records entirely. Results are identical
-// to SLAOutcome on the originating requests.
-func SLAOutcomeFlat(domIDs []uint8, domNames []string, deadlines, finishes []float64) (bool, float64) {
+// SLAOutcomeFlat computes MeetsSLA and DeadlineFraction together in one
+// pass over pre-flattened columns: domIDs[i] indexes domNames (interned
+// in first-sight order), deadlines[i] is the request's deadline. Serving
+// layers that already stream the request array once can build these
+// columns in that pass and keep the SLA tally off the 96-byte-stride
+// records entirely. It returns (false, 0) on a length mismatch.
+func SLAOutcomeFlat(domIDs []int32, domNames []string, deadlines, finishes []float64) (bool, float64) {
 	n := len(deadlines)
 	if len(domIDs) != n || len(finishes) != n {
 		return false, 0

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"planaria/internal/dnn"
@@ -163,5 +166,89 @@ func TestQoSLevels(t *testing.T) {
 	}
 	if len(Levels) != 3 {
 		t.Fatal("want 3 QoS levels")
+	}
+}
+
+// TestValidate checks one malformed case per field and that Validate
+// names the request's index, ID and field; cluster-dispatched shapes
+// (negative merged QoS, Work 0, unbounded deadline, non-positional IDs)
+// pass.
+func TestValidate(t *testing.T) {
+	ok := func() []Request {
+		return []Request{
+			{ID: 10, Arrival: 0, QoS: 1, Deadline: 1},
+			{ID: 12, Arrival: 0.5, QoS: -0.1, Deadline: 0.4, Work: 2.5},
+			{ID: 11, Arrival: 0.25, QoS: 1, Deadline: math.Inf(1)},
+		}
+	}
+	if err := Validate(ok()); err != nil {
+		t.Fatalf("valid stream rejected: %v", err)
+	}
+	cases := []struct {
+		name  string
+		edit  func(r *Request)
+		field string
+	}{
+		{"NaN arrival", func(r *Request) { r.Arrival = math.NaN() }, "Arrival"},
+		{"+Inf arrival", func(r *Request) { r.Arrival = math.Inf(1) }, "Arrival"},
+		{"negative arrival", func(r *Request) { r.Arrival = -1 }, "Arrival"},
+		{"NaN deadline", func(r *Request) { r.Deadline = math.NaN() }, "Deadline"},
+		{"NaN work", func(r *Request) { r.Work = math.NaN() }, "Work"},
+		{"+Inf work", func(r *Request) { r.Work = math.Inf(1) }, "Work"},
+		{"negative work", func(r *Request) { r.Work = -1 }, "Work"},
+		{"duplicate ID", func(r *Request) { r.ID = 10 }, "ID"},
+	}
+	for _, c := range cases {
+		reqs := ok()
+		c.edit(&reqs[2])
+		err := Validate(reqs)
+		var re *RequestError
+		if !errors.As(err, &re) || re.Index != 2 || re.ID != reqs[2].ID || re.Field != c.field {
+			t.Errorf("%s: err = %v, want a RequestError for index 2, ID %d, field %s", c.name, err, reqs[2].ID, c.field)
+		}
+	}
+}
+
+// TestSLAOutcomeFlatMatchesRecords checks the columnar SLA tally against
+// MeetsSLA and DeadlineFraction over the records, on seeded random
+// streams with mixed domains and unfinished requests.
+func TestSLAOutcomeFlatMatchesRecords(t *testing.T) {
+	domains := []string{"classification", "detection", "translation"}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(300)
+		reqs := make([]Request, n)
+		finishes := make([]float64, n)
+		doms := make([]int32, n)
+		var names []string
+		for i := range reqs {
+			d := domains[rng.Intn(1+rng.Intn(len(domains)))]
+			reqs[i] = Request{ID: i, Domain: d, Deadline: rng.Float64()}
+			switch x := rng.Float64(); {
+			case x < 0.01:
+				finishes[i] = -1
+			case x < 0.03:
+				finishes[i] = reqs[i].Deadline + 0.01 + rng.Float64()
+			default:
+				finishes[i] = reqs[i].Deadline * rng.Float64()
+			}
+			id := slices.Index(names, d)
+			if id < 0 {
+				id = len(names)
+				names = append(names, d)
+			}
+			doms[i] = int32(id)
+		}
+		deadlines := make([]float64, n)
+		for i := range reqs {
+			deadlines[i] = reqs[i].Deadline
+		}
+		meets, frac := SLAOutcomeFlat(doms, names, deadlines, finishes)
+		if want := MeetsSLA(reqs, finishes); meets != want {
+			t.Errorf("seed %d: SLAOutcomeFlat meets = %v, MeetsSLA = %v", seed, meets, want)
+		}
+		if want := DeadlineFraction(reqs, finishes); frac != want {
+			t.Errorf("seed %d: SLAOutcomeFlat fraction = %v, DeadlineFraction = %v", seed, frac, want)
+		}
 	}
 }
