@@ -120,32 +120,32 @@ func Evaluate(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float
 // meetsAt reports whether a majority of instances meet the SLA at qps.
 func meetsAt(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options) (bool, error) {
 	a, err := Evaluate(sys, sc, lvl, qps, opt)
-	if err != nil {
-		return false, err
-	}
-	return a.SLARate >= 0.5, nil
+	return a.SLARate >= 0.5, err
 }
 
-// Throughput finds the maximum sustainable QPS under the SLA by doubling
-// then bisecting. Returns 0 when even minQPS fails.
+// Throughput finds the maximum sustainable QPS under the SLA. Returns 0
+// when even the lowest rate fails.
 func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Options) (float64, error) {
+	return MaxQPS(func(qps float64) (bool, error) { return meetsAt(sys, sc, lvl, qps, opt) })
+}
+
+// MaxQPS finds the highest arrival rate meets accepts: it doubles from
+// 0.5 QPS (returning 0 if that fails) up to a 2^20 QPS cap, then bisects
+// the last bracket for at most 10 steps or until it is within 5%. meets
+// must be monotone in the rate; its first error aborts the search.
+func MaxQPS(meets func(qps float64) (bool, error)) (float64, error) {
 	const (
 		minQPS = 0.5
 		maxQPS = 1 << 20
 	)
-	ok, err := meetsAt(sys, sc, lvl, minQPS, opt)
-	if err != nil {
+	ok, err := meets(minQPS)
+	if err != nil || !ok {
 		return 0, err
 	}
-	if !ok {
-		return 0, nil
-	}
-	lo := minQPS
-	hi := lo
+	lo, hi := minQPS, minQPS
 	for hi < maxQPS {
 		hi *= 2
-		ok, err := meetsAt(sys, sc, lvl, hi, opt)
-		if err != nil {
+		if ok, err = meets(hi); err != nil {
 			return 0, err
 		}
 		if !ok {
@@ -158,8 +158,7 @@ func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Opt
 	}
 	for i := 0; i < 10 && hi-lo > 0.05*lo; i++ {
 		mid := (lo + hi) / 2
-		ok, err := meetsAt(sys, sc, lvl, mid, opt)
-		if err != nil {
+		if ok, err = meets(mid); err != nil {
 			return 0, err
 		}
 		if ok {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"testing"
 
 	"planaria/internal/arch"
@@ -99,6 +100,38 @@ func TestThroughputFindsSaturation(t *testing.T) {
 	}
 	if ok {
 		t.Errorf("4x the reported throughput still meets the SLA — search under-estimated")
+	}
+}
+
+// TestMaxQPS checks the search on threshold predicates: the result meets
+// the predicate and lies within 5% of the threshold, a failing floor
+// gives 0, the cap bounds the doubling, and an error aborts the search.
+func TestMaxQPS(t *testing.T) {
+	for _, limit := range []float64{0.7, 3, 100, 1234.5, 90000} {
+		got, err := MaxQPS(func(qps float64) (bool, error) { return qps <= limit, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > limit || got < limit/1.05 {
+			t.Errorf("limit %g: MaxQPS = %g, want within 5%% below", limit, got)
+		}
+	}
+	if got, _ := MaxQPS(func(float64) (bool, error) { return false, nil }); got != 0 {
+		t.Errorf("failing floor: MaxQPS = %g, want 0", got)
+	}
+	if got, _ := MaxQPS(func(float64) (bool, error) { return true, nil }); got != 1<<20 {
+		t.Errorf("always met: MaxQPS = %g, want the 2^20 cap", got)
+	}
+	boom := errors.New("boom")
+	calls := 0
+	if _, err := MaxQPS(func(qps float64) (bool, error) {
+		calls++
+		if qps > 8 {
+			return false, boom
+		}
+		return true, nil
+	}); !errors.Is(err, boom) || calls != 6 {
+		t.Errorf("err = %v after %d calls, want boom after 6", err, calls)
 	}
 }
 
