@@ -6,7 +6,7 @@ import (
 )
 
 // PoolCheck enforces the sync.Pool discipline the PR 6 scratch pools
-// established (sim.nodeScratchPool, cluster.scratchPool):
+// established (sim.runPool, cluster.scratchPool):
 //
 //   - every Get has a Put on the same pool reachable on all exit paths,
 //     which in this codebase means inside a defer — an early return or

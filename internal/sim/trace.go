@@ -38,8 +38,8 @@ const (
 	// estimated completion misses the deadline at the chip's current
 	// (possibly degraded) capacity, or its retry budget is exhausted.
 	EvShed
-	// EvReject marks a request for a model the node has no program for
-	// (non-strict mode; strict mode fails the whole run instead).
+	// EvReject marks a request for a model the node has no program for;
+	// the rest of the run is unaffected.
 	EvReject
 	// EvFault marks a fault transition applied to the chip: Unit is the
 	// faulted unit index, Up distinguishes repair from landing, and Model
