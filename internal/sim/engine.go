@@ -152,8 +152,8 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	r := runPool.Get().(*run)
 	defer runPool.Put(r)
 	defer r.release()
-	r.reqs, r.tasks, r.free = reqs, r.tasks[:0], r.free[:0]
-	if r.used = 0; len(r.arena) == 0 {
+	r.reqs, r.tasks, r.free, r.used = reqs, r.tasks[:0], r.free[:0], 0
+	if len(r.arena) == 0 {
 		r.arena = make([]Task, taskBlock)
 	}
 	r.start(n, total)
@@ -265,8 +265,9 @@ type counters struct {
 var runPool = sync.Pool{New: func() any { return new(run) }}
 
 // release drops the run's references to the caller's requests, the node
-// and its sinks before the state goes back to the pool, keeping only the
-// reusable buffers.
+// and its sinks before the state goes back to the pool. It keeps only the
+// reusable buffers; every other field is back at its zero value, which
+// start relies on.
 func (r *run) release() {
 	clear(r.binds)
 	// Stale task pointers would pin earlier blocks of task records.
@@ -299,10 +300,8 @@ func (r *run) start(n *Node, total int) {
 		r.penScale = 1
 	}
 	r.perm = calendar(reqs)
-	r.next = 0
 	r.now = reqs[r.pos(0)].Arrival
 	// Priorities are integers, so their float sum is exact in any order.
-	r.prioSum = 0
 	for i := range reqs {
 		r.prioSum += float64(reqs[i].Priority)
 	}
@@ -402,7 +401,8 @@ const taskBlock = 64
 // is free, else the next fresh slot, starting a block twice the size of
 // the last when the current one is used up. Earlier blocks stay alive
 // through the tasks that point into them, so task pointers are stable,
-// and a run holds only as many records as it ever had in flight at once.
+// and a run holds at most about twice as many records as it ever had in
+// flight at once, not one per request.
 func (r *run) newTask() *Task {
 	if n := len(r.free); n > 0 {
 		t := r.free[n-1]
@@ -966,7 +966,6 @@ func taskTrack(id int) string {
 
 // ppEntry carries one finished task's normalized progress for fairness.
 type ppEntry struct {
-	id       int
 	priority int
 	iso      float64
 	multi    float64
@@ -982,7 +981,6 @@ type progBinding struct {
 
 func appendPP(pp []ppEntry, t *Task) []ppEntry {
 	return append(pp, ppEntry{
-		id:       t.Req.ID,
 		priority: t.Req.Priority,
 		iso:      t.iso,
 		multi:    t.Finish - t.Req.Arrival,

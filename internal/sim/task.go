@@ -166,7 +166,7 @@ func (t *Task) advance(dtCycles int64, params energy.Params) int64 {
 	}
 	consumed := int64(0)
 	if t.PenaltyCycles > 0 {
-		pay := min64(t.PenaltyCycles, dtCycles)
+		pay := min(t.PenaltyCycles, dtCycles)
 		t.PenaltyCycles -= pay
 		consumed += pay
 	}
@@ -267,13 +267,6 @@ func (t *Task) checkpointCycles(cfg *arch.Config, oldAlloc int) int64 {
 	}
 	// Store + reload.
 	return int64(2 * float64(tileBytes) / bw)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Policy decides subarray allocations. Allocate is invoked at every
