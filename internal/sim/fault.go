@@ -106,10 +106,10 @@ const (
 // deterministic without math.Pow.
 func (n *Node) backoff(attempt int) float64 {
 	b, lim := n.RetryBase, n.RetryCap
-	if b <= 0 {
+	if !(b > 0) {
 		b = defaultRetryBase
 	}
-	if lim <= 0 {
+	if !(lim > 0) {
 		lim = defaultRetryCap
 	}
 	for i := 1; i < attempt && b < lim; i++ {
