@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -402,5 +404,37 @@ func TestCheckpointScalesWithBandwidthShare(t *testing.T) {
 	done := &Task{ID: 2, Prog: prog, Alloc: 4, Layer: len(prog.Table(1).Layers)}
 	if done.checkpointCycles(&node.Cfg, 4) != 0 {
 		t.Fatal("done task checkpointed")
+	}
+}
+
+// TestTiedArrivalsFollowSortSlice pins the order in which an unsorted
+// stream with many tied arrivals is admitted: the order sort.Slice gives
+// the requests themselves. Under splitPolicy the first admitted task takes
+// the whole chip, so tasks finish one at a time in admission order.
+func TestTiedArrivalsFollowSortSlice(t *testing.T) {
+	node, prog := testNode(t, &splitPolicy{})
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	rng := rand.New(rand.NewSource(3))
+	var reqs []workload.Request
+	for i := 0; i < 40; i++ {
+		reqs = append(reqs, req(100+i, float64(rng.Intn(6))*iso/4, 1, 1))
+	}
+	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	want := append([]workload.Request(nil), reqs...)
+	sort.Slice(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
+
+	out, err := node.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, len(reqs))
+	for i := range got {
+		got[i] = i
+	}
+	sort.Slice(got, func(i, j int) bool { return out.Finishes[got[i]] < out.Finishes[got[j]] })
+	for k, i := range got {
+		if reqs[i].ID != want[k].ID {
+			t.Fatalf("finish #%d is request ID %d, want ID %d (sort.Slice order)", k, reqs[i].ID, want[k].ID)
+		}
 	}
 }
