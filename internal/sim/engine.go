@@ -455,7 +455,7 @@ func (r *run) admit() {
 		t := r.newTask()
 		// Field writes rather than a composite literal: the literal
 		// materializes a 200-byte temporary and block-copies it into the
-		// arena slot on every admit.
+		// record on every admit.
 		t.ID = q.ID
 		t.Req = *q
 		t.Prog = bind.prog
