@@ -152,9 +152,12 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	r := runPool.Get().(*run)
 	defer runPool.Put(r)
 	defer r.release()
-	r.reqs, r.tasks, r.free, r.used = reqs, r.tasks[:0], r.free[:0], 0
-	if len(r.arena) == 0 {
-		r.arena = make([]Task, taskBlock)
+	// At most one task is ever created per request (retries re-enqueue
+	// the same record), so the arena never grows mid-run and task
+	// pointers stay stable.
+	r.reqs, r.tasks = reqs, r.tasks[:0]
+	if len(r.arena) < len(reqs) {
+		r.arena = make([]Task, len(reqs))
 	}
 	r.start(n, total)
 	r.admit()
@@ -205,8 +208,8 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 // buffers instead of paying a large-allocation zeroing tax per run. Task
 // records are engine-owned: nothing in an Outcome, Trace, or observer
 // references them, and policies must not retain *Task pointers across
-// calls (the scheduling contract), so a retired task's record is free
-// for the next admit, and the arena for the next run. Every buffer is appended from empty or fully
+// calls (the scheduling contract), so the arena is free for reuse the
+// moment Run returns. Every buffer is appended from empty or fully
 // overwritten before it is read, so stale contents cannot influence a
 // run.
 type run struct {
@@ -229,9 +232,8 @@ type run struct {
 	binds map[string]progBinding
 	out   *Outcome
 
-	arena      []Task  // the current block of fresh task records
-	used       int     // records of arena handed out
-	free       []*Task // retired records, reused before fresh ones
+	arena      []Task
+	used       int     // arena records handed out
 	tasks      []*Task // active: admitted, unfinished, not backing off
 	pp         []ppEntry
 	alloc      []int // positional allocation of the current event
@@ -270,13 +272,9 @@ var runPool = sync.Pool{New: func() any { return new(run) }}
 // start relies on.
 func (r *run) release() {
 	clear(r.binds)
-	// Stale task pointers would pin earlier blocks of task records.
-	clear(r.tasks[:cap(r.tasks)])
-	clear(r.free[:cap(r.free)])
 	*r = run{
 		arena:      r.arena,
 		tasks:      r.tasks[:0],
-		free:       r.free[:0],
 		pp:         r.pp[:0],
 		alloc:      r.alloc[:0],
 		retryQ:     retryHeap{entries: r.retryQ.entries[:0]},
@@ -394,28 +392,6 @@ func (r *run) pos(k int) int {
 	return r.perm[k]
 }
 
-// taskBlock is the size of a run's first block of task records.
-const taskBlock = 64
-
-// newTask returns a record for an admitted request: a retired one if any
-// is free, else the next fresh slot, starting a block twice the size of
-// the last when the current one is used up. Earlier blocks stay alive
-// through the tasks that point into them, so task pointers are stable,
-// and a run holds at most about twice as many records as it ever had in
-// flight at once, not one per request.
-func (r *run) newTask() *Task {
-	if n := len(r.free); n > 0 {
-		t := r.free[n-1]
-		r.free = r.free[:n-1]
-		return t
-	}
-	if r.used == len(r.arena) {
-		r.arena, r.used = make([]Task, 2*len(r.arena)), 0
-	}
-	r.used++
-	return &r.arena[r.used-1]
-}
-
 // drained reports whether no arrival and no retry is left to admit.
 func (r *run) drained() bool {
 	return r.next >= len(r.reqs) && r.retryQ.Len() == 0
@@ -452,10 +428,11 @@ func (r *run) admit() {
 			r.shed(r.now, q, pos, nil, obs.CauseShedChip)
 			continue
 		}
-		t := r.newTask()
+		t := &r.arena[r.used]
+		r.used++
 		// Field writes rather than a composite literal: the literal
 		// materializes a 200-byte temporary and block-copies it into the
-		// record on every admit.
+		// arena slot on every admit.
 		t.ID = q.ID
 		t.Req = *q
 		t.Prog = bind.prog
@@ -942,7 +919,6 @@ func (r *run) retire() {
 		r.out.EnergyJ += t.EnergyJ
 		r.out.Preemptions += t.Preemptions
 		r.pp = appendPP(r.pp, t)
-		r.free = append(r.free, t)
 	}
 	r.tasks = kept
 }
