@@ -1,0 +1,48 @@
+package cluster
+
+import (
+	"testing"
+
+	"planaria/internal/sim"
+)
+
+// warmAllocs returns the fewest allocations seen over 20 single calls
+// of f. A warm call's count is deterministic, but a call whose pooled
+// state was dropped allocates more; the race detector makes sync.Pool
+// drop a random share of Puts, so an average over many calls is noisy
+// there while the minimum is not.
+func warmAllocs(f func()) float64 {
+	best := testing.AllocsPerRun(1, f)
+	for i := 1; i < 20; i++ {
+		best = min(best, testing.AllocsPerRun(1, f))
+	}
+	return best
+}
+
+// TestClusterRunAllocs pins the allocations of one warm, batched 3-chip
+// Run on a 400-request stream, untraced and with a fresh front-door
+// trace per call. The front end's working buffers come from pooled
+// state; what remains is the Outcome, the per-chip request layout and
+// results, the three chip simulations and, when traced, the trace's own
+// event buffer.
+func TestClusterRunAllocs(t *testing.T) {
+	sys := spatialSystem(t)
+	reqs := genReqs(400, 1500, 1, 21)
+	for _, c := range []struct {
+		traced bool
+		want   float64
+	}{{false, 51}, {true, 53}} {
+		cfg := Config{System: sys, Chips: 3, BatchWindow: 5e-4, MaxBatch: 4}
+		run := func() {
+			if c.traced {
+				cfg.Trace = &sim.Trace{}
+			}
+			if _, err := Run(cfg, reqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := warmAllocs(run); got > c.want {
+			t.Errorf("warm cluster.Run (traced=%v): %.0f allocs/op, want at most %.0f", c.traced, got, c.want)
+		}
+	}
+}

@@ -90,6 +90,7 @@ var goldenCases = []goldenCase{
 	{name: "node-prema.txt", gen: func(s *Suite) ([]byte, error) { return renderNodeMetrics(s.PREMA) }},
 	{name: "node-shuffled.txt", gen: renderShuffledNode},
 	{name: "ablation.txt", long: true, gen: renderAblations},
+	{name: "cluster-paths.txt", gen: renderClusterPaths},
 }
 
 func clusterGolden(s *Suite, o ClusterOptions) ([]byte, error) {
