@@ -60,14 +60,14 @@ func TestPlaceableRespectsRuns(t *testing.T) {
 		sh   Shape
 		want bool
 	}{
-		{Shape{Clusters: 14, H: 1, W: 1}, true},  // singles need no links
-		{Shape{Clusters: 1, H: 2, W: 2}, true},   // 4 consecutive fit in any run
-		{Shape{Clusters: 3, H: 2, W: 2}, true},   // one 4-cluster per run
-		{Shape{Clusters: 1, H: 2, W: 4}, false},  // needs 8 consecutive, max run 6
-		{Shape{Clusters: 2, H: 2, W: 2}, true},   // 4+4
-		{Shape{Clusters: 1, H: 4, W: 4}, false},  // whole chip no longer chainable
-		{Shape{Clusters: 3, H: 1, W: 4}, true},   // 4 + 4 + (6/4 = 1)
-		{Shape{Clusters: 4, H: 1, W: 4}, false},  // only three 4-runs available
+		{Shape{Clusters: 14, H: 1, W: 1}, true}, // singles need no links
+		{Shape{Clusters: 1, H: 2, W: 2}, true},  // 4 consecutive fit in any run
+		{Shape{Clusters: 3, H: 2, W: 2}, true},  // one 4-cluster per run
+		{Shape{Clusters: 1, H: 2, W: 4}, false}, // needs 8 consecutive, max run 6
+		{Shape{Clusters: 2, H: 2, W: 2}, true},  // 4+4
+		{Shape{Clusters: 1, H: 4, W: 4}, false}, // whole chip no longer chainable
+		{Shape{Clusters: 3, H: 1, W: 4}, true},  // 4 + 4 + (6/4 = 1)
+		{Shape{Clusters: 4, H: 1, W: 4}, false}, // only three 4-runs available
 	}
 	for _, c := range cases {
 		if got := m.Placeable(c.sh); got != c.want {

@@ -68,7 +68,7 @@ func attribConfigs(t *testing.T) []struct {
 			cfg: Config{System: monolithic, Chips: 2, Policy: "round-robin",
 				BatchWindow: 1e-3,
 				Faults:      faultsFor(2, 11), FaultMode: sim.FaultDerate,
-				Attrib:      true},
+				Attrib: true},
 			reqs: genReqs(80, 500, 1, 6),
 		},
 		{

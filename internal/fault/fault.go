@@ -199,6 +199,7 @@ type Health struct {
 }
 
 // NewHealth returns an all-alive health state.
+//
 //perf:cold once-per-run constructor; the per-event paths are UsableSub/apply
 func NewHealth(units, pods int) *Health {
 	return &Health{
@@ -288,6 +289,7 @@ type Injector struct {
 // into its landing and repair transitions, sorted by time (ties broken
 // by landing-before-repair, then the schedule's deterministic event
 // order).
+//
 //perf:cold once-per-run constructor; the per-event paths are AdvanceTo/NextChange
 func NewInjector(s *Schedule) (*Injector, error) {
 	if err := s.Validate(); err != nil {

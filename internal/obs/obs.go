@@ -36,6 +36,7 @@ type Observer struct {
 // New returns an Observer with a fresh registry and trace builder whose
 // timestamps are interpreted as simulated seconds (rendered as
 // microseconds in the exported timeline).
+//
 //perf:cold once-per-run constructor: observability wiring, not a probe
 func New() *Observer {
 	return &Observer{Metrics: NewRegistry(), Trace: NewTraceBuilder(1e6)}

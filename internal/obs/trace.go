@@ -71,6 +71,7 @@ type TraceBuilder struct {
 // NewTraceBuilder returns an empty builder whose timestamps are
 // multiplied by scale to obtain microseconds (0 means 1: timestamps are
 // already microseconds).
+//
 //perf:cold once-per-run constructor
 func NewTraceBuilder(scale float64) *TraceBuilder {
 	if scale == 0 {

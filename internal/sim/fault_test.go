@@ -178,8 +178,8 @@ func TestShedDoomedDeclinesHopelessRequest(t *testing.T) {
 	node.Shed = ShedDoomed
 	node.Trace = &Trace{}
 	reqs := []workload.Request{
-		req(0, 0, iso*4, 5),          // generous deadline: admitted
-		req(1, 1e-6, iso*0.01, 5),    // hopeless deadline: shed
+		req(0, 0, iso*4, 5),       // generous deadline: admitted
+		req(1, 1e-6, iso*0.01, 5), // hopeless deadline: shed
 	}
 	out, err := node.Run(reqs)
 	if err != nil {

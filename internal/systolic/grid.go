@@ -104,9 +104,9 @@ type Grid struct {
 	// place a cluster over a faulty band — the fission granularity is
 	// the subarray, so one dead PE retires its whole band while the
 	// surviving bands keep computing bit-exact results.
-	faulty [][]bool
-	deadPE [][]int
-	clusters       []*cluster
+	faulty   [][]bool
+	deadPE   [][]int
+	clusters []*cluster
 	// staged holds pre-Run injections (activations and streamed weights);
 	// Run counting-sorts them into the read-only initial schedule.
 	staged   []delivery
