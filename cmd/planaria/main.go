@@ -556,11 +556,11 @@ func parsePolicies(spec string) ([]string, error) {
 		if part == "" {
 			continue
 		}
-		b, err := cluster.NewBalancer(part)
+		name, err := cluster.PolicyName(part)
 		if err != nil {
 			return nil, err
 		}
-		pols = append(pols, b.Name())
+		pols = append(pols, name)
 	}
 	if len(pols) == 0 {
 		return nil, fmt.Errorf("-policy %q names no policies", spec)

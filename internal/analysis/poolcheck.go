@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// PoolCheck enforces the sync.Pool discipline the PR 6 scratch pools
-// established (sim.runPool, cluster.scratchPool):
+// PoolCheck enforces the sync.Pool discipline of the engines' run-state
+// pools (sim.runPool, cluster.runPool):
 //
 //   - every Get has a Put on the same pool reachable on all exit paths,
 //     which in this codebase means inside a defer — an early return or
@@ -19,9 +19,8 @@ import (
 //     reuses and leaks them to the next tenant of the scratch.
 //
 // The check is structural, not path-sensitive: "reset" means some
-// assignment to the field exists in the function (PR 6 does all resets
-// in the same defer that Puts). //perf:pool-ok <reason> on the Get line
-// exempts a site.
+// assignment to the field exists in the function. //perf:pool-ok
+// <reason> on the Get line exempts a site.
 var PoolCheck = &Analyzer{
 	Name: "poolcheck",
 	Doc: "checks sync.Pool discipline: deferred Put for every Get, no escape of pooled " +

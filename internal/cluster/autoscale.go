@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"planaria/internal/obs"
+	"planaria/internal/sim"
 )
 
 // Autoscaling (DESIGN.md §15): with Config.Scale set, the cluster's chip
@@ -332,19 +333,141 @@ func (a *autoscaler) bootOne(t float64) int {
 // drainCandidate picks the active slot with the least outstanding
 // estimated work at instant t (ties to the highest index, so the newest
 // spare retires first), or -1 when none is active.
-func (a *autoscaler) drainCandidate(t float64, busyUntil []float64) int {
+func (a *autoscaler) drainCandidate(t float64, chips []chip) int {
 	best, bestOut := -1, 0.0
 	for i := range a.slots {
 		if a.slots[i].state != slotReady {
 			continue
 		}
-		out := busyUntil[i] - t
-		if out < 0 {
-			out = 0
-		}
-		if best < 0 || out <= bestOut {
+		if out := chips[i].backlog(t); best < 0 || out <= bestOut {
 			best, bestOut = i, out
 		}
 	}
 	return best
+}
+
+// tick runs the controller at control instant T: it boots slots up to
+// the desired fleet size, or drains ready slots down to it, never below
+// Min. Ticks run inside the same single-goroutine walk as dispatch, so a
+// fault landing on a draining chip, a flash crowd mid-drain, or a drain
+// racing permanent chip death all resolve in one deterministic time
+// order.
+func (r *run) tick(T float64) {
+	a := r.asc
+	active, booting, draining := a.counts(T)
+	backlog := 0.0
+	for i := range r.chips {
+		if a.slots[i].state == slotReady {
+			backlog += r.chips[i].backlog(T)
+		}
+	}
+	want := a.cfg.Controller.Desired(ScaleSignal{
+		Time: T, Active: active, Booting: booting, Draining: draining,
+		BacklogS: backlog, MaxWaitS: a.debtMax, Arrivals: a.arrivals,
+	})
+	want = min(max(want, a.cfg.Min), a.chips)
+	eff := active + booting
+	for eff < want {
+		c := a.bootOne(T)
+		if c < 0 {
+			break
+		}
+		if r.trace != nil {
+			r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvScaleUp, Unit: c})
+		}
+		eff++
+	}
+	// Scale-down drains ready slots only — boots in flight are never
+	// cancelled — and stops at the Min floor.
+	for eff > want && active > a.cfg.Min {
+		c := a.drainCandidate(T, r.chips)
+		if c < 0 {
+			break
+		}
+		r.drain(c, T)
+		eff--
+		active--
+	}
+	a.debtMax, a.arrivals = 0, 0
+}
+
+// drain retires slot c gracefully at instant T: groups estimated to have
+// started before T stay and finish, and the slot retires when the last
+// of them is estimated done; queued groups migrate to the least-loaded
+// routable chip, or shed as ShedDrain when none remains.
+func (r *run) drain(c int, T float64) {
+	a, s := r.asc, &r.asc.slots[c]
+	s.state = slotDraining
+	a.cDrains.Inc()
+	a.fleet.Note(T, c, obs.FleetDrain)
+	if r.trace != nil {
+		r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvDrain, Unit: c})
+	}
+	// Skip groups already estimated finished, then keep the in-flight
+	// prefix: estimated start and end are both monotone along pend.
+	pend := s.pend
+	i := 0
+	for i < len(pend) && r.ends[pend[i]] <= T {
+		i++
+	}
+	retire := T
+	for ; i < len(pend); i++ {
+		di := pend[i]
+		if r.ends[di]-r.dispatches[di].cost >= T {
+			break
+		}
+		retire = r.ends[di]
+	}
+	// The queued groups are the trailing positions of the slot's request
+	// slice, so taking them off keeps per-chip positions dense.
+	for _, di := range pend[i:] {
+		d := r.dispatches[di]
+		members := r.groupMembers(&d)
+		r.out.Dispatched[c]--
+		r.chips[c].groups--
+		target := r.leastWork(T, c)
+		if target < 0 {
+			r.dispatches[di].chip = -1 // tombstone: shed during drain
+			r.out.Batches--
+			r.membersTotal -= len(members)
+			r.out.ShedDrain += len(members)
+			for _, m := range members {
+				a.cDrainShed.Inc()
+				if r.trace != nil {
+					r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvShed, Task: r.reqs[m].ID, Model: r.reqs[m].Model})
+				}
+				if r.led != nil {
+					r.led.Reopen(m, obs.PhaseDrainMigrate)
+					r.led.Close(m, T, obs.CauseShedDrain)
+					r.link(m, -1, -1)
+				}
+			}
+			continue
+		}
+		nd := d
+		nd.chip, nd.at, nd.qos = target, T, d.deadline-T
+		pos := r.place(nd)
+		r.dispatches[di].chip = -2 // migrated away: the new record serves its members
+		r.out.Migrated += len(members)
+		a.cMigrated.Inc()
+		if r.trace != nil {
+			leader := &r.reqs[members[0]]
+			r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvMigrate, Task: leader.ID, Model: leader.Model, Unit: target, Depth: c})
+		}
+		if r.led != nil {
+			for _, m := range members {
+				r.led.Reopen(m, obs.PhaseDrainMigrate)
+				r.led.Close(m, T, obs.CauseDispatched)
+				r.link(m, target, pos)
+			}
+		}
+	}
+	s.pend = pend[:0]
+	s.retireAt = retire
+	r.chips[c].busyUntil = retire
+	a.fleet.Note(retire, c, obs.FleetRetire)
+	a.cDown.Inc()
+	if r.trace != nil {
+		r.front.c = append(r.front.c, sim.Event{Time: retire, Kind: sim.EvScaleDown, Unit: c})
+	}
 }

@@ -136,7 +136,7 @@ func (s *Suite) ClusterSweep(o ClusterOptions) ([]ClusterRow, error) {
 		}
 	}
 	for _, p := range o.Policies {
-		if _, err := cluster.NewBalancer(p); err != nil {
+		if _, err := cluster.PolicyName(p); err != nil {
 			return nil, err
 		}
 	}
