@@ -98,6 +98,33 @@ func TestScriptController(t *testing.T) {
 	}
 }
 
+// TestDrainCandidateTiesToHighestIndex pins the scale-down pick: the
+// ready slot with the least backlog, the highest index on ties (so the
+// newest spare retires first), never a slot that is not ready.
+func TestDrainCandidateTiesToHighestIndex(t *testing.T) {
+	a := newAutoscaler(&Autoscale{Min: 1, Initial: 3, IntervalS: 1}, 4, nil)
+	chips := make([]chip, 4)
+	if got := a.drainCandidate(0, chips); got != 2 {
+		t.Errorf("idle ready slots 0-2: pick %d, want 2", got)
+	}
+	chips[2].busyUntil = 5
+	if got := a.drainCandidate(0, chips); got != 1 {
+		t.Errorf("slot 2 busy: pick %d, want 1", got)
+	}
+	// Backlog is clamped at zero: work finished before t reads as idle.
+	if got := a.drainCandidate(6, chips); got != 2 {
+		t.Errorf("slot 2's work done by t: pick %d, want 2", got)
+	}
+	a.slots[1].state, a.slots[2].state = slotDraining, slotBooting
+	if got := a.drainCandidate(0, chips); got != 0 {
+		t.Errorf("slots 1-2 not ready: pick %d, want 0", got)
+	}
+	a.slots[0].state = slotOff
+	if got := a.drainCandidate(0, chips); got != -1 {
+		t.Errorf("no ready slot: pick %d, want -1", got)
+	}
+}
+
 func TestAutoscaleValidate(t *testing.T) {
 	sys := spatialSystem(t)
 	reqs := genReqs(4, 100, 1, 1)
