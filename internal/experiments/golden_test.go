@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"planaria/internal/fault"
 	"planaria/internal/metrics"
+	"planaria/internal/obs"
 	"planaria/internal/sim"
 	"planaria/internal/workload"
 	"planaria/internal/workload/trace"
@@ -89,6 +91,7 @@ var goldenCases = []goldenCase{
 	{name: "node-planaria.txt", gen: func(s *Suite) ([]byte, error) { return renderNodeMetrics(s.Planaria) }},
 	{name: "node-prema.txt", gen: func(s *Suite) ([]byte, error) { return renderNodeMetrics(s.PREMA) }},
 	{name: "node-shuffled.txt", gen: renderShuffledNode},
+	{name: "node-observed.txt", gen: renderObservedNode},
 	{name: "ablation.txt", long: true, gen: renderAblations},
 	{name: "cluster-paths.txt", gen: renderClusterPaths},
 }
@@ -190,6 +193,88 @@ func renderShuffledNode(s *Suite) ([]byte, error) {
 		for i, r := range reqs {
 			fmt.Fprintf(&b, "%3d id=%3d %x %x\n", i, r.ID, out.Finishes[i], out.Latency[i])
 		}
+	}
+	return []byte(b.String()), nil
+}
+
+// observedNodeRun builds the stream and fault schedule of the
+// node-observed golden for one system. The stream is shuffled with two
+// tied arrivals, one request has no program and arrives before any fault,
+// and one has a deadline too close to survive ShedDoomed. Transient
+// subarray faults kill running tasks (twice in a row for some, so
+// MaxAttempts 1 sheds them), a transient outage of every pod link stalls
+// the chip, and a permanent one near the end drains the queue, the
+// retries and the requests still to arrive.
+func observedNodeRun(sys metrics.System, mode sim.FaultMode) (*sim.Node, []workload.Request, error) {
+	reqs, err := workload.Generate(workload.ScenarioA(), workload.QoSHard, 400, 48, 3)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, i := range []int{9, 30} {
+		reqs[i].Arrival = reqs[i-1].Arrival
+		reqs[i].Deadline = reqs[i].Arrival + reqs[i].QoS
+	}
+	reqs[3].Model = "no-such-model"
+	reqs[5].Deadline = reqs[5].Arrival
+	span := reqs[len(reqs)-1].Arrival
+	units, pods := sys.Cfg.NumSubarrays(), sys.Cfg.Pods
+	sched := &fault.Schedule{Units: units, Pods: pods}
+	for _, f := range []float64{0.15, 0.16, 0.3, 0.31, 0.45} {
+		sched.Events = append(sched.Events,
+			fault.Event{Time: span * f, Kind: fault.KindSubarray, Unit: 0, Duration: span / 50},
+			fault.Event{Time: span * f, Kind: fault.KindSubarray, Unit: units - 1, Duration: span / 40})
+	}
+	for pod := 0; pod < pods; pod++ {
+		sched.Events = append(sched.Events,
+			fault.Event{Time: span * 0.6, Kind: fault.KindLink, Unit: pod, Duration: span / 30},
+			fault.Event{Time: span * 0.85, Kind: fault.KindLink, Unit: pod})
+	}
+	in, err := fault.NewInjector(sched)
+	if err != nil {
+		return nil, nil, err
+	}
+	rand.New(rand.NewSource(8)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	node := &sim.Node{
+		Cfg: sys.Cfg, Policy: sys.NewPolicy(), Programs: sys.Programs, Params: sys.Params,
+		Trace: &sim.Trace{}, Obs: obs.New(), Attrib: obs.NewLedger(0), Occ: obs.NewOccupancy(0),
+		Faults: in, FaultMode: mode, Shed: sim.ShedDoomed, MaxAttempts: 1,
+	}
+	return node, reqs, nil
+}
+
+// renderObservedNode runs observedNodeRun's stream through the elastic
+// Planaria scheduler and PREMA with every chip-side sink attached, and
+// renders the outcome tallies, the trace, the metrics snapshot, a digest
+// of the timeline, each request's ledger phases (in hex) and cause, and
+// the occupancy totals.
+func renderObservedNode(s *Suite) ([]byte, error) {
+	var b strings.Builder
+	for _, c := range []struct {
+		sys  metrics.System
+		mode sim.FaultMode
+	}{{s.Elastic, sim.FaultFission}, {s.PREMA, sim.FaultDerate}} {
+		node, reqs, err := observedNodeRun(c.sys, c.mode)
+		if err != nil {
+			return nil, err
+		}
+		out, err := node.Run(reqs)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.sys.Name, err)
+		}
+		fmt.Fprintf(&b, "== %s\n", c.sys.Name)
+		fmt.Fprintf(&b, "killed=%d retries=%d shed=%d rejected=%d faults=%d preempt=%d refissions=%d energy=%x\n",
+			out.Killed, out.Retries, out.Shed, out.Rejected, out.FaultEvents, out.Preemptions, out.Refissions, out.EnergyJ)
+		b.WriteString(node.Trace.String())
+		b.WriteString(node.Obs.Registry().Snapshot().Text())
+		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(node.Obs.Tracer().JSON()))
+		for i, r := range reqs {
+			var dur [obs.NumPhases]float64
+			node.Attrib.Durations(i, &dur)
+			fmt.Fprintf(&b, "req %2d id=%2d fin=%x cause=%v phases=%x\n", i, r.ID, out.Finishes[i], node.Attrib.Cause(i), dur)
+		}
+		o := node.Occ
+		fmt.Fprintf(&b, "occupancy units=%d horizon=%d busy=%d idle=%d faulted=%d reconfig=%d\n",
+			o.Units, o.Horizon, o.Busy, o.Idle, o.Faulted, o.Reconfig)
 	}
 	return []byte(b.String()), nil
 }

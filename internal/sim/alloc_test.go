@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"planaria/internal/obs"
 	"planaria/internal/workload"
 )
 
@@ -91,10 +92,12 @@ func TestRefissionOffRunAllocParity(t *testing.T) {
 }
 
 // TestNodeRunAllocs pins the allocations of one warm Node.Run on a fixed
-// 16-request stream, with and without a trace: three for the Outcome and
-// its two slices, ten for the chip power breakdown behind the leakage
-// charge. Everything else (tasks, scheduling buffers, the retry queue)
-// comes from pooled state, and the event loop itself allocates nothing.
+// 16-request stream, untraced, traced, and with the trace, the
+// attribution ledger and occupancy all attached: three for the Outcome
+// and its two slices, ten for the chip power breakdown behind the
+// leakage charge. Everything else (tasks, scheduling buffers, the retry
+// queue) comes from pooled state, the event loop itself allocates
+// nothing, and a warm trace, ledger and occupancy reuse their storage.
 func TestNodeRunAllocs(t *testing.T) {
 	const wantAllocs = 13
 	node, prog := testNode(t, nil)
@@ -104,21 +107,25 @@ func TestNodeRunAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		reqs = append(reqs, req(i, float64(i)*iso/3, 8*iso, 1+i%11))
 	}
-	for _, traced := range []bool{false, true} {
-		node.Trace = nil
-		if traced {
+	for _, sinks := range []string{"untraced", "traced", "trace+attrib+occ"} {
+		node.Trace, node.Attrib, node.Occ = nil, nil, nil
+		if sinks != "untraced" {
 			node.Trace = &Trace{}
+		}
+		if sinks == "trace+attrib+occ" {
+			node.Attrib, node.Occ = obs.NewLedger(0), obs.NewOccupancy(0)
 		}
 		run := func() {
 			if node.Trace != nil {
 				node.Trace.Events = node.Trace.Events[:0]
 			}
+			node.Occ.Reset()
 			if _, err := node.Run(reqs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := warmAllocs(run); got > wantAllocs {
-			t.Errorf("warm Node.Run (traced=%v): %.1f allocs/op, want at most %d", traced, got, wantAllocs)
+			t.Errorf("warm Node.Run (%s): %.1f allocs/op, want at most %d", sinks, got, wantAllocs)
 		}
 	}
 }
