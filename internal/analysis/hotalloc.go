@@ -53,7 +53,7 @@ func runHotAlloc(pass *Pass) error {
 }
 
 func (p *Pass) checkHotAlloc(anns annotations, decl *ast.FuncDecl, fact hotFact) {
-	skip := coldRegions(p.Info, decl.Body)
+	skip := coldRegions(p.Info, p.guards, decl.Body)
 	loops := loopSpans(decl.Body)
 	reuse := reuseEvidence(p.Info, decl)
 	addrTaken := map[*ast.CompositeLit]bool{}

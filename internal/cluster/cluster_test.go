@@ -454,6 +454,41 @@ func TestDeadChipsRoutedAround(t *testing.T) {
 	}
 }
 
+// TestChipRejectsAgreeWithCluster: with batching off every request the
+// cluster rejects for an unknown model is one chip request the chip
+// rejected, so the chips' Rejected tallies add up to the cluster's —
+// also when chip 0, which took some of them, dies halfway through.
+func TestChipRejectsAgreeWithCluster(t *testing.T) {
+	sys := spatialSystem(t)
+	reqs := genReqs(60, 300, 0.05, 12)
+	for i := 3; i < len(reqs); i += 7 {
+		reqs[i].Model = "no-such-model"
+	}
+	dead := &fault.Schedule{Units: sys.Cfg.NumSubarrays(), Pods: sys.Cfg.Pods}
+	for pod := 0; pod < dead.Pods; pod++ {
+		dead.Events = append(dead.Events, fault.Event{Time: reqs[len(reqs)/2].Arrival, Kind: fault.KindLink, Unit: pod})
+	}
+	for _, pol := range Policies() {
+		out, err := Run(Config{
+			System: sys, Chips: 2, Policy: pol,
+			Faults:    []*fault.Schedule{dead, nil},
+			FaultMode: sim.FaultFission,
+		}, reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		chips := 0
+		for _, cr := range out.PerChip {
+			if cr.Outcome != nil {
+				chips += cr.Outcome.Rejected
+			}
+		}
+		if out.Rejected == 0 || chips != out.Rejected {
+			t.Errorf("%s: chips rejected %d, cluster %d (want equal and nonzero)", pol, chips, out.Rejected)
+		}
+	}
+}
+
 func TestAllChipsDeadShedsEverything(t *testing.T) {
 	sys := spatialSystem(t)
 	dead := &fault.Schedule{Units: 16, Pods: 4}

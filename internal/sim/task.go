@@ -53,10 +53,10 @@ type Task struct {
 	// progress (EnergyJ keeps accruing — the wasted work was real) and
 	// re-enqueues it after a capped exponential backoff.
 	Attempts int
-	// phase is the task's current attribution phase (DESIGN.md §14).
-	// Only read and written under `if led != nil` guards, so it carries
-	// no cost — and may hold stale arena garbage — when the node has no
-	// attribution ledger.
+	// phase is the task's current attribution phase (DESIGN.md §14). Admit
+	// sets it to queue-wait; later transitions are tracked only while the
+	// run is observed, so the event loop emits a phase boundary exactly
+	// when it changes.
 	phase obs.Phase
 }
 
