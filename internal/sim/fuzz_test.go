@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"planaria/internal/fault"
+	"planaria/internal/obs"
 	"planaria/internal/workload"
 )
 
@@ -50,24 +52,133 @@ func fuzzStream(data []byte, iso float64) []workload.Request {
 	return reqs
 }
 
+// fuzzFaults decodes the fault header byte of FuzzNodeRun: bit 0 attaches
+// a transient fault schedule, bit 2 selects derate instead of fission
+// masking, bits 3-4 pick what fails (subarray 0, subarray 15, pod 0's
+// link or every pod link) and bits 5-7 when it first lands. The fault
+// lands twice, half an isolated run apart, and MaxAttempts is 0, 1 or 2.
+// It returns a fresh injector per call (injectors are stateful), or nil.
+func fuzzFaults(node *Node, extra byte, iso float64) func() *fault.Injector {
+	if extra&1 == 0 {
+		return nil
+	}
+	node.FaultMode = FaultFission
+	if extra&4 != 0 {
+		node.FaultMode = FaultDerate
+	}
+	slot := int(extra >> 5)
+	node.MaxAttempts = slot % 3
+	var failing []fault.Event
+	switch (extra >> 3) & 3 {
+	case 0:
+		failing = []fault.Event{{Kind: fault.KindSubarray, Unit: 0}}
+	case 1:
+		failing = []fault.Event{{Kind: fault.KindSubarray, Unit: 15}}
+	case 2:
+		failing = []fault.Event{{Kind: fault.KindLink, Unit: 0}}
+	default:
+		for pod := 0; pod < 4; pod++ {
+			failing = append(failing, fault.Event{Kind: fault.KindLink, Unit: pod})
+		}
+	}
+	s := &fault.Schedule{Units: 16, Pods: 4}
+	for _, at := range []float64{float64(slot) * iso / 4, float64(slot)*iso/4 + iso/2} {
+		for _, e := range failing {
+			e.Time, e.Duration = at, iso/3
+			s.Events = append(s.Events, e)
+		}
+	}
+	return func() *fault.Injector {
+		in, err := fault.NewInjector(s)
+		if err != nil {
+			panic(err)
+		}
+		return in
+	}
+}
+
+// checkObserved asserts the views a fully observed run folded from its
+// event stream: the registry counters that equal an Outcome tally, a
+// closed ledger record per request whose cause is done exactly for the
+// completed ones, the occupancy partition and a valid trace.
+func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outcome) {
+	t.Helper()
+	completed := 0
+	for i, fin := range out.Finishes {
+		if fin >= 0 {
+			completed++
+		}
+		if !node.Attrib.Closed(i) {
+			t.Fatalf("request %d: ledger record left open", i)
+		}
+		if done := node.Attrib.Cause(i) == obs.CauseDone; done != (fin >= 0) {
+			t.Fatalf("request %d: cause %v with finish %v", i, node.Attrib.Cause(i), fin)
+		}
+	}
+	want := map[string]int{
+		"sim_requests_total":    len(reqs),
+		"sim_completions_total": completed,
+		"sim_kills_total":       out.Killed,
+		"sim_retries_total":     out.Retries,
+		"sim_sheds_total":       out.Shed,
+		"sim_rejects_total":     out.Rejected,
+		"fault_events_total":    out.FaultEvents,
+	}
+	if rf, ok := node.Policy.(Refissioner); ok && rf.RefissionActive() {
+		want["sim_refissions_total"] = out.Refissions
+	}
+	got := map[string]float64{}
+	for _, s := range node.Obs.Registry().Snapshot().Series {
+		got[s.Name] = s.Value
+	}
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != float64(v) {
+			t.Fatalf("%s = %v (registered %v), Outcome tally %d", name, g, ok, v)
+		}
+	}
+	o := node.Occ
+	if sum := o.Busy + o.Reconfig + o.Faulted + o.Idle; sum != o.Units*o.Horizon {
+		t.Fatalf("occupancy %+v: busy+reconfig+faulted+idle = %d, units×horizon = %d", *o, sum, o.Units*o.Horizon)
+	}
+	if err := node.Trace.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzNodeRun drives Node.Run with small arbitrary streams: unsorted and
 // tied arrivals, duplicate and non-positional IDs, an unknown model, and
 // NaN, ±Inf and negative fields, under the map-path, slice-path and
-// elastic test policies and every shed policy. Run must not panic, must
-// fail exactly when workload.Validate rejects the stream, and on success
-// must account for every request (completed + shed + rejected = n) with
-// no finish before its arrival. A stream with distinct arrivals, shuffled
-// with IDs kept, must give every request the same finish bit for bit.
+// elastic test policies, every shed policy and, per the extra header
+// byte, a transient fault schedule (fuzzFaults) and all four sinks
+// (bit 1). Run must not panic, must fail exactly when workload.Validate
+// rejects the stream, and on success must account for every request
+// (completed + shed + rejected = n) with no finish before its arrival; an
+// observed run must pass checkObserved. A stream with distinct arrivals,
+// shuffled with IDs kept, must give every request the same finish bit for
+// bit.
 func FuzzNodeRun(f *testing.F) {
-	f.Add(byte(0), []byte{0, 0, 0, 16, 0, 1, 1, 16, 32, 16, 2})
-	f.Add(byte(4), []byte{1, 3, 48, 32, 16, 5, 3, 16, 32, 0, 6, 7, 16, 16, 0, 9})
-	f.Add(byte(7), []byte{0, 1, 12, 16, 0, 1, 2, 13, 16, 15, 1})
-	f.Fuzz(func(t *testing.T, setup byte, data []byte) {
+	f.Add(byte(0), byte(0), []byte{0, 0, 0, 16, 0, 1, 1, 16, 32, 16, 2})
+	f.Add(byte(4), byte(2), []byte{1, 3, 48, 32, 16, 5, 3, 16, 32, 0, 6, 7, 16, 16, 0, 9})
+	f.Add(byte(7), byte(0x23), []byte{0, 1, 12, 16, 0, 1, 2, 13, 16, 15, 1})
+	f.Add(byte(2), byte(0x5f), []byte{0, 0, 0, 16, 0, 1, 16, 32, 64, 16, 2, 32, 48, 16, 0, 3})
+	// Every pod link fails, twice, before the only arrival: the faults
+	// must be applied, and traced, before the arrival is.
+	f.Add(byte(1), byte(0x5f), []byte("000000"))
+	f.Fuzz(func(t *testing.T, setup, extra byte, data []byte) {
 		node, prog := testNode(t, nil)
 		iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
 		reqs := fuzzStream(data, iso)
 		if len(reqs) == 0 {
 			return
+		}
+		faults := fuzzFaults(node, extra, iso)
+		if faults != nil {
+			node.Faults = faults()
+		}
+		observed := extra&2 != 0
+		if observed {
+			node.Trace, node.Obs = &Trace{}, obs.New()
+			node.Attrib, node.Occ = obs.NewLedger(0), obs.NewOccupancy(0)
 		}
 		policies := []func() Policy{
 			func() Policy { return fullPolicy{} },
@@ -98,6 +209,9 @@ func FuzzNodeRun(f *testing.F) {
 		if completed+out.Shed+out.Rejected != len(reqs) {
 			t.Fatalf("completed %d + shed %d + rejected %d != %d requests", completed, out.Shed, out.Rejected, len(reqs))
 		}
+		if observed {
+			checkObserved(t, node, reqs, out)
+		}
 
 		seen := map[float64]bool{}
 		for _, r := range reqs {
@@ -111,6 +225,10 @@ func FuzzNodeRun(f *testing.F) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		node.Policy = newPolicy()
+		node.Trace, node.Obs, node.Attrib, node.Occ = nil, nil, nil, nil
+		if faults != nil {
+			node.Faults = faults()
+		}
 		out2, err := node.Run(shuffled)
 		if err != nil {
 			t.Fatalf("shuffled stream failed: %v", err)
