@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"planaria/internal/arch"
@@ -32,15 +33,13 @@ const (
 
 // String names the fault mode.
 func (m FaultMode) String() string {
-	switch m {
-	case FaultFission:
-		return "fission"
-	case FaultDerate:
-		return "derate"
-	default:
-		return fmt.Sprintf("faultmode(%d)", int(m))
+	if m >= 0 && int(m) < len(faultModeNames) {
+		return faultModeNames[m]
 	}
+	return fmt.Sprintf("faultmode(%d)", int(m))
 }
+
+var faultModeNames = [...]string{FaultFission: "fission", FaultDerate: "derate"}
 
 // ShedPolicy selects the admission controller's load-shedding behavior.
 type ShedPolicy int
@@ -59,32 +58,23 @@ const (
 	ShedPriority
 )
 
+// shedPolicyNames is the CLI vocabulary of the shed policies.
+var shedPolicyNames = [...]string{ShedNone: "none", ShedDoomed: "doomed", ShedPriority: "priority"}
+
 // String names the shed policy.
 func (p ShedPolicy) String() string {
-	switch p {
-	case ShedNone:
-		return "none"
-	case ShedDoomed:
-		return "doomed"
-	case ShedPriority:
-		return "priority"
-	default:
-		return fmt.Sprintf("shed(%d)", int(p))
+	if p >= 0 && int(p) < len(shedPolicyNames) {
+		return shedPolicyNames[p]
 	}
+	return fmt.Sprintf("shed(%d)", int(p))
 }
 
 // ParseShedPolicy maps the CLI vocabulary to a ShedPolicy.
 func ParseShedPolicy(name string) (ShedPolicy, error) {
-	switch name {
-	case "none":
-		return ShedNone, nil
-	case "doomed":
-		return ShedDoomed, nil
-	case "priority":
-		return ShedPriority, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown shed policy %q (want none, doomed, or priority)", name)
+	if i := slices.Index(shedPolicyNames[:], name); i >= 0 {
+		return ShedPolicy(i), nil
 	}
+	return 0, fmt.Errorf("sim: unknown shed policy %q (want none, doomed, or priority)", name)
 }
 
 // HealthAware policies receive the chip's health mask whenever fault
