@@ -1,17 +1,17 @@
 // Package poolcheck exercises the poolcheck analyzer against the
-// scratch-pool discipline of sim.nodeScratchPool: every Get needs a
-// deferred Put, pooled values must not escape through returns, and
+// run-state pool discipline of sim.runPool: every Get needs a deferred
+// Put, pooled values must not escape through returns, and
 // pointer-holding slice fields must be reset before the object goes
-// back. The bad cases mirror exactly what deleting the Put call or the
-// reset lines from sim.Node.Run's defer would look like.
+// back. The bad cases mirror exactly what deleting the deferred Put or
+// the reset lines of sim.run.release would look like.
 package poolcheck
 
 import "sync"
 
 type task struct{ id int }
 
-// scratch mirrors sim.nodeScratch: tasks pins heap objects across
-// reuses unless reset, ids is pointer-free and needs no reset.
+// scratch mirrors sim.run: tasks pins heap objects across reuses unless
+// reset, ids is pointer-free and needs no reset.
 type scratch struct {
 	tasks []*task
 	ids   []int

@@ -157,11 +157,11 @@ type attribMark struct {
 
 // Ledger records per-request phase chains for one run. Records are
 // addressed by position (the caller's request-slice index). All methods
-// are nil-safe no-ops, so simulators carry their stamps unconditionally
-// behind `if led != nil` guards and pay only an untaken branch when
-// attribution is off. A Ledger is single-goroutine like the engine that
-// feeds it; storage is arena-backed and reusable via Reset, so warm
-// stamping allocates nothing (pinned by TestLedgerZeroAllocs).
+// are no-ops on a nil Ledger, so a caller may stamp unconditionally and
+// pay only an untaken branch when attribution is off. A Ledger is
+// single-goroutine like the engine that feeds it; storage is
+// arena-backed and reusable via Reset, so warm stamping allocates
+// nothing (pinned by TestWarmLedgerStampingZeroAllocs).
 type Ledger struct {
 	marks []attribMark
 	head  []int32   // per record: latest mark index, -1 = none

@@ -11,8 +11,7 @@
 // Every entry point is nil-safe: a nil *Registry, *TraceBuilder,
 // *Observer, or metric handle turns the whole instrumentation path into
 // cheap no-ops, so the simulators carry their probes unconditionally and
-// pay only an untaken branch when observability is off (verified by
-// BenchmarkGridRun staying within 2% of the uninstrumented engine).
+// pay only an untaken branch when observability is off.
 //
 // The Registry is append-only by contract: series are never removed or
 // reset in place, handles stay valid for the registry's lifetime, and
