@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -93,6 +94,11 @@ func ParseCSV(data []byte) ([]workload.Request, error) {
 		at, err := strconv.ParseFloat(f[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: CSV line %d arrival: %w", row, err)
+		}
+		// ParseFloat accepts "NaN" and "Inf", and a NaN would also pass the
+		// ordering check below and disable it for the next row.
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			return nil, fmt.Errorf("trace: CSV line %d at_s %q is not a finite arrival", row, f[1])
 		}
 		if at < prevAt || at < 0 {
 			return nil, fmt.Errorf("trace: CSV line %d arrival %v out of order", row, at)

@@ -162,6 +162,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("trace: crowds must be sorted by onset (crowd %d)", i)
 		}
 	}
+	// An infinite dominating rate would stall the generator: every
+	// candidate gap would be zero.
+	if math.IsInf(s.peakRate(), 0) {
+		return fmt.Errorf("trace: peak rate overflows (base %v QPS times the curve and crowd peaks)", s.BaseQPS)
+	}
 	if math.IsNaN(s.ZipfS) || math.IsInf(s.ZipfS, 0) || s.ZipfS < 0 {
 		return fmt.Errorf("trace: Zipf exponent %v", s.ZipfS)
 	}
@@ -250,14 +255,19 @@ func (s *Spec) crowdsAt(t float64) float64 {
 		if t < c.AtS {
 			break // crowds are sorted by onset; later ones have not started
 		}
-		boost := c.Mult - 1
-		if dt := t - c.AtS; dt < c.RampS {
-			f *= 1 + boost*dt/c.RampS
-		} else {
-			f *= 1 + boost*math.Exp(-(dt-c.RampS)/c.DecayS)
-		}
+		f *= crowdFactor(c, t)
 	}
 	return f
+}
+
+// crowdFactor is crowd c's multiplier at t >= c.AtS.
+func crowdFactor(c *Crowd, t float64) float64 {
+	boost := c.Mult - 1
+	dt := t - c.AtS
+	if dt < c.RampS {
+		return 1 + boost*dt/c.RampS
+	}
+	return 1 + boost*math.Exp(-(dt-c.RampS)/c.DecayS)
 }
 
 // peakRate upper-bounds λ(t) over the horizon: the diurnal maximum times

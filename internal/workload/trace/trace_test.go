@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"planaria/internal/workload"
@@ -166,6 +167,7 @@ func TestParseJSONRejects(t *testing.T) {
 		"trailing data":  `{"version":1,"name":"x","models":["ResNet-50"],"qos":"QoS-S","horizon_s":1,"base_qps":1}{}`,
 		"negative zipf":  `{"version":1,"name":"x","models":["ResNet-50"],"qos":"QoS-S","horizon_s":1,"base_qps":1,"zipf_s":-1}`,
 		"negative users": `{"version":1,"name":"x","models":["ResNet-50"],"qos":"QoS-S","horizon_s":1,"base_qps":1,"users":-3}`,
+		"rate overflow":  `{"version":1,"name":"x","models":["ResNet-50"],"qos":"QoS-S","horizon_s":1,"base_qps":1e300,"crowds":[{"at_s":0.5,"mult":1e300,"ramp_s":1,"decay_s":1}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseJSON([]byte(in)); err == nil {
@@ -218,11 +220,21 @@ func TestCSVRejects(t *testing.T) {
 		"sparse ids":   "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n5,0,ResNet-50,1\n",
 		"out of order": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,2,ResNet-50,1\n1,1,ResNet-50,1\n",
 		"no rows":      "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n",
+		"nan arrival":  "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,NaN,ResNet-50,3\n",
+		"+inf arrival": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,+Inf,ResNet-50,3\n",
+		"-inf arrival": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,-Inf,ResNet-50,3\n",
+		"inf arrival":  "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,0,ResNet-50,3\n1,infinity,ResNet-50,3\n",
+		"nan in order": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,1,ResNet-50,3\n1,NaN,ResNet-50,3\n2,0.5,ResNet-50,3\n",
 	}
 	for name, in := range cases {
 		if _, err := ParseCSV([]byte(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
 		}
+	}
+	// A non-finite arrival is reported with its line and field.
+	_, err := ParseCSV([]byte(cases["nan in order"]))
+	if err == nil || !strings.Contains(err.Error(), "line 4 at_s") {
+		t.Errorf("non-finite arrival error %v does not name line 4 and at_s", err)
 	}
 }
 
