@@ -121,7 +121,22 @@ type Program struct {
 	Net    *dnn.Network
 	Cfg    arch.Config
 	tables []*Table // index 0 = allocation 1
+
+	// joules memoizes LayerJoules per parameter set. Programs are shared
+	// by concurrent simulations, so mu guards it.
+	mu     sync.Mutex
+	joules []paramJoules
 }
+
+// paramJoules is one LayerJoules result and the parameters it holds for.
+type paramJoules struct {
+	params energy.Params
+	rows   [][]float64
+}
+
+// maxJoulesMemo bounds a program's LayerJoules memo: past this many
+// parameter sets, further sets get fresh rows that are not kept.
+const maxJoulesMemo = 8
 
 // CompileProgram compiles all allocations 1..NumSubarrays. The
 // allocations are independent, so they compile across a bounded worker
@@ -155,6 +170,33 @@ func (p *Program) Table(s int) *Table {
 		s = len(p.tables)
 	}
 	return p.tables[s-1]
+}
+
+// LayerJoules returns every layer's energy under params at every
+// allocation: rows[s-1][l] is Table(s).Layers[l].Acct.Joules(params), bit
+// for bit. The rows are computed once per parameter set and shared by all
+// callers, which must not modify them.
+//
+//perf:cold one-time energy fill: once per program and parameter set, bound before a run's event loop
+func (p *Program) LayerJoules(params energy.Params) [][]float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range p.joules {
+		if e.params == params {
+			return e.rows
+		}
+	}
+	rows := make([][]float64, len(p.tables))
+	for i, tab := range p.tables {
+		rows[i] = make([]float64, len(tab.Layers))
+		for l := range tab.Layers {
+			rows[i][l] = tab.Layers[l].Acct.Joules(params)
+		}
+	}
+	if len(p.joules) < maxJoulesMemo {
+		p.joules = append(p.joules, paramJoules{params, rows})
+	}
+	return rows
 }
 
 // MaxAlloc returns the largest allocation the program was compiled for.

@@ -269,8 +269,7 @@ func (s *Suite) PenaltySensitivity(sc workload.Scenario, lvl workload.QoSLevel) 
 func penaltyThroughput(cfg arch.Config, progs map[string]*compiler.Program, params energy.Params,
 	opt metrics.Options, sc workload.Scenario, lvl workload.QoSLevel, scale float64) (float64, error) {
 	return metrics.MaxQPS(func(qps float64) (bool, error) {
-		ok := 0
-		for inst := 0; inst < opt.Instances; inst++ {
+		return metrics.Majority(opt.Instances, func(inst int) (bool, error) {
 			reqs, err := workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
 			if err != nil {
 				return false, err
@@ -280,14 +279,8 @@ func penaltyThroughput(cfg arch.Config, progs map[string]*compiler.Program, para
 				Params: params, PenaltyScale: scale,
 			}
 			out, err := node.Run(reqs)
-			if err != nil {
-				return false, err
-			}
-			if out.MeetsSLA {
-				ok++
-			}
-		}
-		return float64(ok) >= 0.5*float64(opt.Instances), nil
+			return err == nil && out.MeetsSLA, err
+		})
 	})
 }
 

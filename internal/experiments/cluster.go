@@ -76,19 +76,24 @@ type ClusterRow struct {
 	Grid []ClusterGridPoint `json:"grid"`
 }
 
+// clusterInstance simulates instance inst of one cell at one rate.
+func clusterInstance(sys metrics.System, o ClusterOptions, chips int, policy string, qps float64, inst int) (*cluster.Outcome, error) {
+	reqs, err := workload.Generate(o.Scenario, o.Level, qps, o.Opt.Requests, o.Opt.Seed+int64(inst)*7919)
+	if err != nil {
+		return nil, err
+	}
+	return cluster.Run(cluster.Config{
+		System: sys, Chips: chips, Policy: policy,
+		BatchWindow: o.BatchWindow, MaxBatch: o.MaxBatch,
+	}, reqs)
+}
+
 // clusterEval runs one cell at one rate over Opt.Instances seeded
 // instances and aggregates.
 func clusterEval(sys metrics.System, o ClusterOptions, chips int, policy string, qps float64) (ClusterGridPoint, error) {
 	p := ClusterGridPoint{QPS: qps}
 	for inst := 0; inst < o.Opt.Instances; inst++ {
-		reqs, err := workload.Generate(o.Scenario, o.Level, qps, o.Opt.Requests, o.Opt.Seed+int64(inst)*7919)
-		if err != nil {
-			return p, err
-		}
-		out, err := cluster.Run(cluster.Config{
-			System: sys, Chips: chips, Policy: policy,
-			BatchWindow: o.BatchWindow, MaxBatch: o.MaxBatch,
-		}, reqs)
+		out, err := clusterInstance(sys, o, chips, policy, qps, inst)
 		if err != nil {
 			return p, err
 		}
@@ -110,12 +115,13 @@ func clusterEval(sys metrics.System, o ClusterOptions, chips int, policy string,
 }
 
 // clusterMaxQPS finds a cell's maximum SLA-meeting arrival rate on the
-// majority-of-instances criterion, the search metrics.Throughput applies
-// to a single node.
+// majority-of-instances vote metrics.Throughput applies to a single node.
 func clusterMaxQPS(sys metrics.System, o ClusterOptions, chips int, policy string) (float64, error) {
 	return metrics.MaxQPS(func(qps float64) (bool, error) {
-		p, err := clusterEval(sys, o, chips, policy, qps)
-		return p.SLARate >= 0.5, err
+		return metrics.Majority(o.Opt.Instances, func(inst int) (bool, error) {
+			out, err := clusterInstance(sys, o, chips, policy, qps, inst)
+			return err == nil && out.MeetsSLA, err
+		})
 	})
 }
 

@@ -8,8 +8,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"planaria/internal/arch"
 	"planaria/internal/obs"
@@ -57,37 +58,6 @@ type Spatial struct {
 	fr       []allocFrac
 	order    []scoredTask
 	admitted []int
-	// Sorter scratch: sort.Sort on a pointer receiver avoids the
-	// per-call closure and swapper allocations of sort.Slice.
-	frSort    allocFracSorter
-	orderSort scoredTaskSorter
-}
-
-// allocFracSorter sorts rounding fractions by (ideal desc, id asc) — a
-// total order (ids are unique), so the permutation is the unique sorted
-// one regardless of sorting algorithm.
-type allocFracSorter struct{ fr []allocFrac }
-
-func (x *allocFracSorter) Len() int      { return len(x.fr) }
-func (x *allocFracSorter) Swap(i, j int) { x.fr[i], x.fr[j] = x.fr[j], x.fr[i] }
-func (x *allocFracSorter) Less(i, j int) bool {
-	if x.fr[i].ideal != x.fr[j].ideal {
-		return x.fr[i].ideal > x.fr[j].ideal
-	}
-	return x.fr[i].id < x.fr[j].id
-}
-
-// scoredTaskSorter sorts admission scores by (score desc, id asc) —
-// likewise a total order.
-type scoredTaskSorter struct{ order []scoredTask }
-
-func (x *scoredTaskSorter) Len() int      { return len(x.order) }
-func (x *scoredTaskSorter) Swap(i, j int) { x.order[i], x.order[j] = x.order[j], x.order[i] }
-func (x *scoredTaskSorter) Less(i, j int) bool {
-	if x.order[i].score != x.order[j].score {
-		return x.order[i].score > x.order[j].score
-	}
-	return x.order[i].id < x.order[j].id
 }
 
 // allocFrac carries one task's fractional share for largest-remainder
@@ -98,11 +68,36 @@ type allocFrac struct {
 	ideal float64
 }
 
+// byIdealDesc orders rounding fractions by (ideal desc, id asc) — a total
+// order (ids are unique), so the permutation is the unique sorted one
+// regardless of sorting algorithm.
+func byIdealDesc(a, b allocFrac) int {
+	if a.ideal != b.ideal {
+		if a.ideal > b.ideal {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // scoredTask carries one task's admission score (allocateUnfitInto).
 type scoredTask struct {
 	idx   int // position in the tasks slice
 	id    int
 	score float64
+}
+
+// byScoreDesc orders admission scores by (score desc, id asc) — likewise
+// a total order.
+func byScoreDesc(a, b scoredTask) int {
+	if a.score != b.score {
+		if a.score > b.score {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // NewSpatial returns the policy for a hardware configuration.
@@ -317,8 +312,7 @@ func (s *Spatial) allocateFitInto(tasks []*sim.Task, est []int, total int, dst [
 		fr = append(fr, allocFrac{idx: i, id: t.ID, ideal: ideal - float64(whole)})
 	}
 	s.fr = fr
-	s.frSort.fr = fr
-	sort.Sort(&s.frSort)
+	slices.SortFunc(fr, byIdealDesc)
 	for _, f := range fr {
 		if granted >= remaining {
 			break
@@ -352,8 +346,7 @@ func (s *Spatial) allocateUnfitInto(now float64, tasks []*sim.Task, est []int, t
 		order = append(order, scoredTask{idx: i, id: t.ID, score: float64(t.Req.Priority) / (slack * float64(e))})
 	}
 	s.order = order
-	s.orderSort.order = order
-	sort.Sort(&s.orderSort)
+	slices.SortFunc(order, byScoreDesc)
 
 	remaining := total
 	admitted := s.admitted[:0]
