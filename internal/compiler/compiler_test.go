@@ -11,7 +11,45 @@ import (
 
 	"planaria/internal/arch"
 	"planaria/internal/dnn"
+	"planaria/internal/energy"
 )
+
+// TestLayerJoules checks the memoized layer energies against the
+// configuration tables bit for bit, the shared rows of a repeated
+// parameter set, and the memo bound.
+func TestLayerJoules(t *testing.T) {
+	p, err := CompileProgram(toyNet(t), arch.Planaria(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := energy.Default()
+	rows := p.LayerJoules(params)
+	if len(rows) != p.MaxAlloc() {
+		t.Fatalf("%d rows, want %d", len(rows), p.MaxAlloc())
+	}
+	for s := 1; s <= p.MaxAlloc(); s++ {
+		layers := p.Table(s).Layers
+		if len(rows[s-1]) != len(layers) {
+			t.Fatalf("alloc %d: %d entries, want %d", s, len(rows[s-1]), len(layers))
+		}
+		for l := range layers {
+			if want := layers[l].Acct.Joules(params); rows[s-1][l] != want {
+				t.Errorf("alloc %d layer %d: %v J, table says %v", s, l, rows[s-1][l], want)
+			}
+		}
+	}
+	if again := p.LayerJoules(params); &again[0][0] != &rows[0][0] {
+		t.Error("repeated parameter set recomputed its rows")
+	}
+	for i := 0; i < 2*maxJoulesMemo; i++ {
+		q := params
+		q.MACpJ += float64(i + 1)
+		p.LayerJoules(q)
+	}
+	if len(p.joules) != maxJoulesMemo {
+		t.Errorf("memo holds %d parameter sets, bound %d", len(p.joules), maxJoulesMemo)
+	}
+}
 
 func toyNet(t *testing.T) *dnn.Network {
 	t.Helper()

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"planaria/internal/arch"
@@ -63,6 +65,37 @@ func TestEvaluateBasics(t *testing.T) {
 	}
 	if a.EnergyJ <= 0 || a.MeanLatMS <= 0 {
 		t.Errorf("degenerate aggregate %+v", a)
+	}
+}
+
+// TestEvaluateMeanLatencySkipsUnfinished serves one request for a model
+// the system has no program for: it is rejected, never finishes, and
+// keeps Latency 0, so MeanLatMS must average only the finished requests.
+func TestEvaluateMeanLatencySkipsUnfinished(t *testing.T) {
+	sys, _ := fastSystem(t)
+	sc := workload.Scenario{Name: "mixed", Models: []string{"ResNet-50", "GoogLeNet"}}
+	opt := Options{Requests: 8, Instances: 1, Seed: 7}
+	out, err := sys.instance(sc, workload.QoSSoft, 50, opt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Rejected != 1 {
+		t.Fatalf("stream has %d rejected requests, want exactly 1", out.Rejected)
+	}
+	var sum float64
+	n := 0
+	for i, f := range out.Finishes {
+		if f >= 0 {
+			sum += out.Latency[i]
+			n++
+		}
+	}
+	a, err := Evaluate(sys, sc, workload.QoSSoft, 50, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sum / float64(n) * 1e3; a.MeanLatMS != want {
+		t.Errorf("MeanLatMS = %g, want %g over the %d finished requests", a.MeanLatMS, want, n)
 	}
 }
 
@@ -132,6 +165,109 @@ func TestMaxQPS(t *testing.T) {
 		return true, nil
 	}); !errors.Is(err, boom) || calls != 6 {
 		t.Errorf("err = %v after %d calls, want boom after 6", err, calls)
+	}
+}
+
+// TestMajority runs the vote over every yes/no/error outcome vector of
+// n = 1..7 instances. It checks that the instances run form a prefix,
+// that the first error among them is returned, that an error-free vote
+// matches a full count, and that no more instances run than the
+// shortest prefix fixing the verdict, whatever the errors would have
+// voted.
+func TestMajority(t *testing.T) {
+	const (
+		no = iota
+		yes
+		fail
+	)
+	// stop is the shortest prefix of v that fixes the verdict.
+	stop := func(v []int) int {
+		n, y := len(v), 0
+		for k := 1; k <= n; k++ {
+			if v[k-1] == yes {
+				y++
+			}
+			if 2*y >= n || 2*(y+n-k) < n {
+				return k
+			}
+		}
+		return n
+	}
+	errs := make([]error, 7)
+	for i := range errs {
+		errs[i] = fmt.Errorf("instance %d failed", i)
+	}
+	for n := 1; n <= 7; n++ {
+		v := make([]int, n)
+		for code := 0; ; code++ {
+			c := code
+			for i := range v {
+				v[i] = c % 3
+				c /= 3
+			}
+			if c > 0 {
+				break
+			}
+			ran := make([]bool, n)
+			got, err := Majority(n, func(inst int) (bool, error) {
+				ran[inst] = true
+				if v[inst] == fail {
+					return false, errs[inst]
+				}
+				return v[inst] == yes, nil
+			})
+			k := 0
+			for k < n && ran[k] {
+				k++
+			}
+			for i := k; i < n; i++ {
+				if ran[i] {
+					t.Fatalf("%v: ran %v, not a prefix", v, ran)
+				}
+			}
+			asYes, asNo := slices.Clone(v), slices.Clone(v)
+			y := 0
+			firstErr := -1
+			for i := range v {
+				if v[i] == fail {
+					asYes[i], asNo[i] = yes, no
+					if firstErr < 0 && i < k {
+						firstErr = i
+					}
+				}
+				if i < k && v[i] == yes {
+					y++
+				}
+			}
+			if k > stop(asYes) || k > stop(asNo) {
+				t.Fatalf("%v: ran %d instances, the verdict is fixed after %d / %d", v, k, stop(asYes), stop(asNo))
+			}
+			if firstErr >= 0 {
+				if err != errs[firstErr] || got {
+					t.Fatalf("%v: got (%v, %v), want (false, %v)", v, got, err, errs[firstErr])
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v: error %v from an instance that did not run", v, err)
+			}
+			if 2*y < n && 2*(y+n-k) >= n {
+				t.Fatalf("%v: stopped after %d instances with the verdict open", v, k)
+			}
+			if !slices.Contains(v, fail) {
+				total := 0
+				for _, x := range v {
+					if x == yes {
+						total++
+					}
+				}
+				if want := 2*total >= n; got != want || k != stop(v) {
+					t.Fatalf("%v: got %v after %d instances, want %v after %d", v, got, k, want, stop(v))
+				}
+			} else if want := 2*y >= n; got != want {
+				t.Fatalf("%v: got %v, the %d instances run say %v", v, got, k, want)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,35 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+
+	"planaria/internal/arch"
+	"planaria/internal/sim"
+)
+
+// BenchmarkSpatialAllocateInto times one Algorithm 1 decision on fixed
+// queues of 2, 9 and 32 tasks with mixed priorities and deadlines: the
+// two-task queue co-locates (the fit path with proportional rounding),
+// the longer ones over-subscribe the chip (the unfit admission sort).
+func BenchmarkSpatialAllocateInto(b *testing.B) {
+	cfg := arch.Planaria()
+	prog := toyProg(b, cfg)
+	iso := cfg.Seconds(prog.Table(cfg.NumSubarrays()).TotalCycles)
+	for _, n := range []int{2, 9, 32} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			tasks := make([]*sim.Task, n)
+			for i := range tasks {
+				tasks[i] = mkTask(b, i, prog, iso*float64(2+i%5), 1+i%11)
+			}
+			pol := NewSpatial(cfg)
+			dst := make([]int, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(dst)
+				pol.AllocateInto(0, tasks, cfg.NumSubarrays(), dst)
+			}
+		})
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"planaria/internal/workload"
 )
 
-func toyProg(t *testing.T, cfg arch.Config) *compiler.Program {
+func toyProg(t testing.TB, cfg arch.Config) *compiler.Program {
 	t.Helper()
 	b := dnn.NewBuilder("sched-toy", "classification", 32, 32, 8)
 	b.Conv("c1", 32, 3, 1)
@@ -29,7 +29,7 @@ func toyProg(t *testing.T, cfg arch.Config) *compiler.Program {
 	return p
 }
 
-func mkTask(t *testing.T, id int, prog *compiler.Program, deadline float64, prio int) *sim.Task {
+func mkTask(t testing.TB, id int, prog *compiler.Program, deadline float64, prio int) *sim.Task {
 	t.Helper()
 	return &sim.Task{
 		ID: id,
