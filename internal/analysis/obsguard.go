@@ -11,7 +11,8 @@ import (
 //
 // Guard-required probes: the event loop's run.emit (the engine guards
 // each with `if r.observed { ... }`) and TraceBuilder.Span/Instant/
-// Counter (they Sprintf label strings at most call sites). The known
+// Counter, their interned-track forms SpanOn/CounterOn and Track (they
+// Sprintf label strings at most call sites). The known
 // nil-safe inline paths — Counter.Inc/Add, Gauge.Set/Max,
 // Histogram.Observe, Registry.Counter/Gauge/Histogram, Observer
 // accessors, and both Reserve methods — are cheap no-ops when disabled
@@ -27,7 +28,7 @@ var ObsGuard = &Analyzer{
 // code, keyed by receiver type name.
 var guardRequired = map[string]map[string]bool{
 	"run":          {"emit": true},
-	"TraceBuilder": {"Span": true, "Instant": true, "Counter": true},
+	"TraceBuilder": {"Span": true, "Instant": true, "Counter": true, "SpanOn": true, "CounterOn": true, "Track": true},
 }
 
 func runObsGuard(pass *Pass) error {

@@ -68,12 +68,35 @@ func TestTraceBuilderCounterZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTraceBuilderCounterOnZeroAllocs pins the interned-track path on a
+// prefixed view: a warm CounterOn builds no track name and allocates
+// nothing, and the track it samples is the one Counter names.
+func TestTraceBuilderCounterOnZeroAllocs(t *testing.T) {
+	root := NewTraceBuilder(1e6)
+	tb := root.WithPrefix("chip0/")
+	track := tb.Track("task 007")
+	tb.Reserve(2048)
+	i := 0.0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tb.CounterOn(track, "subarrays", i, i)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm TraceBuilder.CounterOn into reserved capacity: %.1f allocs/op, want 0", allocs)
+	}
+	if again := root.Track("chip0/task 007"); again != track {
+		t.Fatalf("Track on the root = %d, on the prefixed view = %d", again, track)
+	}
+}
+
 func TestNilTraceBuilderZeroAllocs(t *testing.T) {
 	var tb *TraceBuilder
 	allocs := testing.AllocsPerRun(1000, func() {
 		tb.Counter("c", "s", 0, 1)
 		tb.Instant("c", "x", 0)
 		tb.Span("c", "x", 0, 1)
+		tb.CounterOn(tb.Track("c"), "s", 0, 1)
+		tb.SpanOn(-1, "x", 0, 1)
 		tb.Reserve(64)
 		_ = tb.WithPrefix("p/")
 	})

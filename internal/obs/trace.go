@@ -100,34 +100,63 @@ func (c *traceCore) track(name string) int {
 	return id
 }
 
-func (tb *TraceBuilder) record(phase byte, track, name string, ts, dur float64, args []Arg) {
+// Track interns the named track (under the view's prefix) and returns
+// its ID for CounterOn and SpanOn, which then record on it without
+// building or looking up the name again. The first Track of a name
+// registers it, so a track interned ahead of its first event takes an
+// earlier place in the exported track order. Nil-safe: returns -1.
+func (tb *TraceBuilder) Track(name string) int {
 	if tb == nil {
-		return
+		return -1
 	}
 	c := tb.core
 	c.mu.Lock()
-	c.events = append(c.events, traceEvent{
-		phase: phase,
-		name:  name,
-		track: c.track(tb.prefix + track),
-		ts:    ts,
-		dur:   dur,
-		args:  args,
-	})
+	id := c.track(tb.prefix + name)
+	c.mu.Unlock()
+	return id
+}
+
+// add appends e; track < 0 means the track is interned by name.
+func (tb *TraceBuilder) add(e traceEvent, name string) {
+	c := tb.core
+	c.mu.Lock()
+	if e.track < 0 {
+		e.track = c.track(tb.prefix + name)
+	}
+	c.events = append(c.events, e)
 	c.mu.Unlock()
 }
 
 // Span records a completed slice [start, end] on a track.
 func (tb *TraceBuilder) Span(track, name string, start, end float64, args ...Arg) {
+	if tb == nil {
+		return
+	}
+	tb.add(span(-1, name, start, end, args), track)
+}
+
+// SpanOn is Span on a track interned by Track.
+func (tb *TraceBuilder) SpanOn(track int, name string, start, end float64, args ...Arg) {
+	if tb == nil {
+		return
+	}
+	tb.add(span(track, name, start, end, args), "")
+}
+
+// span is the event of a slice [start, end], clamped to zero length.
+func span(track int, name string, start, end float64, args []Arg) traceEvent {
 	if end < start {
 		end = start
 	}
-	tb.record(phaseComplete, track, name, start, end-start, args)
+	return traceEvent{phase: phaseComplete, name: name, track: track, ts: start, dur: end - start, args: args}
 }
 
 // Instant records a point event on a track.
 func (tb *TraceBuilder) Instant(track, name string, ts float64, args ...Arg) {
-	tb.record(phaseInstant, track, name, ts, 0, args)
+	if tb == nil {
+		return
+	}
+	tb.add(traceEvent{phase: phaseInstant, name: name, track: -1, ts: ts, args: args}, track)
 }
 
 // Counter records a sample of a counter series. Perfetto renders each
@@ -137,16 +166,16 @@ func (tb *TraceBuilder) Counter(track, series string, ts, value float64) {
 	if tb == nil {
 		return
 	}
-	c := tb.core
-	c.mu.Lock()
-	c.events = append(c.events, traceEvent{
-		phase: phaseCounter,
-		name:  series,
-		track: c.track(tb.prefix + track),
-		ts:    ts,
-		cval:  value,
-	})
-	c.mu.Unlock()
+	tb.add(traceEvent{phase: phaseCounter, name: series, track: -1, ts: ts, cval: value}, track)
+}
+
+// CounterOn is Counter on a track interned by Track: no name is built
+// or looked up per sample.
+func (tb *TraceBuilder) CounterOn(track int, series string, ts, value float64) {
+	if tb == nil {
+		return
+	}
+	tb.add(traceEvent{phase: phaseCounter, name: series, track: track, ts: ts, cval: value}, "")
 }
 
 // Reserve pre-grows the event buffer so the next n recordings append

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -126,6 +128,82 @@ func TestNodeRunAllocs(t *testing.T) {
 		}
 		if got := warmAllocs(run); got > wantAllocs {
 			t.Errorf("warm Node.Run (%s): %.1f allocs/op, want at most %d", sinks, got, wantAllocs)
+		}
+	}
+}
+
+// TestNodeRunBytes pins the engine's memory to the tasks in flight, not
+// the request count. Two collections empty sync.Pool, so each measured
+// Node.Run builds its run state afresh, as one does after the pooled
+// state is dropped; over a long stream with a shallow queue it allocates
+// the Outcome's two per-request slices (16 B a request) and nearly
+// nothing else. A task record or a fairness entry per request would
+// cost more than the whole bound.
+func TestNodeRunBytes(t *testing.T) {
+	const n, bound = 50_000, 40.0
+	node, prog := testNode(t, &splitPolicy{})
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		reqs[i] = req(i, float64(i)*1.5*iso, 8*iso, 1+i%11)
+	}
+	run := func() {
+		if _, err := node.Run(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the program's memoized layer energies
+	var best uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < best {
+			best = b
+		}
+	}
+	if per := float64(best) / n; per >= bound {
+		t.Fatalf("Node.Run on a fresh run state allocates %.1f B a request, want under %.0f", per, bound)
+	}
+}
+
+// TestSlabGrowsWithTasksInFlight runs more simultaneous tasks than one
+// slab chunk holds: the slab grows to cover them, every record is free
+// again when the run ends, and a second run on the grown slab gives the
+// same outcome bit for bit.
+func TestSlabGrowsWithTasksInFlight(t *testing.T) {
+	node, prog := testNode(t, fullPolicy{})
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	reqs := make([]workload.Request, 3*slabChunk)
+	for i := range reqs {
+		reqs[i] = req(i, float64(i%7)*iso/100, 1000*iso, 1+i%11)
+	}
+	r := new(run)
+	var first *Outcome
+	for pass := 0; pass < 2; pass++ {
+		out, err := r.simulate(node, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.chunks) < 3 {
+			t.Fatalf("pass %d: %d slab chunks for %d tasks in flight", pass, len(r.chunks), len(reqs))
+		}
+		checkSlabFree(t, r)
+		r.release()
+		if pass == 0 {
+			first = out
+			continue
+		}
+		for i := range reqs {
+			if math.Float64bits(out.Finishes[i]) != math.Float64bits(first.Finishes[i]) {
+				t.Fatalf("request %d finishes at %v on the grown slab, %v on a fresh one", i, out.Finishes[i], first.Finishes[i])
+			}
+		}
+		if out.EnergyJ != first.EnergyJ || out.Fairness != first.Fairness {
+			t.Fatalf("outcome differs on the grown slab: %+v vs %+v", out, first)
 		}
 	}
 }

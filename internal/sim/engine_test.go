@@ -488,3 +488,83 @@ func TestTiedArrivalsFollowSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// ppEntry and fairnessOf are the fairness computation as it was before
+// it folded into retirement: one entry per completed request, reduced at
+// the end. They are the reference the fold must match bit for bit.
+type ppEntry struct {
+	priority int
+	iso      float64
+	multi    float64
+}
+
+// fairnessOf computes PREMA's fairness metric:
+// PP_i = (T_iso / T_multi) / (priority_i / Σ priority), fairness =
+// min_{i,j} PP_i / PP_j = min PP / max PP.
+func fairnessOf(pp []ppEntry, prioSum float64) float64 {
+	if len(pp) < 2 {
+		return 1
+	}
+	minPP, maxPP := math.Inf(1), 0.0
+	for _, e := range pp {
+		if e.multi <= 0 {
+			continue
+		}
+		v := (e.iso / e.multi) / (float64(e.priority) / prioSum)
+		if v < minPP {
+			minPP = v
+		}
+		if v > maxPP {
+			maxPP = v
+		}
+	}
+	if maxPP == 0 || math.IsInf(minPP, 1) {
+		return 1
+	}
+	return minPP / maxPP
+}
+
+// refFairness is fairnessOf over the requests out completed, read back
+// from the Outcome.
+func refFairness(node *Node, reqs []workload.Request, out *Outcome) float64 {
+	total, cps := node.Cfg.NumSubarrays(), node.Cfg.CyclesPerSecond()
+	prioSum := 0.0
+	var pp []ppEntry
+	for i, q := range reqs {
+		prioSum += float64(q.Priority)
+		if out.Finishes[i] < 0 {
+			continue
+		}
+		iso := float64(node.Programs[q.Model].Table(total).TotalCycles) / cps
+		pp = append(pp, ppEntry{priority: q.Priority, iso: iso, multi: out.Latency[i]})
+	}
+	return fairnessOf(pp, prioSum)
+}
+
+// TestFairnessFoldMatchesReference checks the fairness folded at
+// retirement against refFairness on random streams: random arrivals,
+// including ties, priorities and work multipliers under the three test
+// policies.
+func TestFairnessFoldMatchesReference(t *testing.T) {
+	node, prog := testNode(t, nil)
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	policies := []func() Policy{
+		func() Policy { return fullPolicy{} },
+		func() Policy { return &splitPolicy{at: iso} },
+		func() Policy { return &stubRefission{splitPolicy{at: iso}, true} },
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 60; trial++ {
+		reqs := make([]workload.Request, 1+rng.Intn(40))
+		for i := range reqs {
+			reqs[i] = req(i, float64(rng.Intn(20))*iso/4, float64(1+rng.Intn(8))*iso, 1+rng.Intn(11))
+			reqs[i].Work = float64(rng.Intn(3)) * 0.75
+		}
+		node.Policy = policies[trial%len(policies)]()
+		out, err := node.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFairness(t, node, reqs, out)
+	}
+}

@@ -33,7 +33,7 @@ func TestFaultKillAndRetry(t *testing.T) {
 	node.Faults = injectorOf(t, []fault.Event{{Time: strike, Kind: fault.KindSubarray, Unit: 0}})
 	node.FaultMode = FaultFission
 
-	out, err := node.Run([]workload.Request{req(0, 0, 1, 5)})
+	out, err := simulateChecked(t, node, []workload.Request{req(0, 0, 1, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDerateModeKillsRunningTask(t *testing.T) {
 	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
 	node.Faults = injectorOf(t, []fault.Event{{Time: iso / 2, Kind: fault.KindSubarray, Unit: 15}})
 	node.FaultMode = FaultDerate
-	out, err := node.Run([]workload.Request{req(0, 0, 1, 5)})
+	out, err := simulateChecked(t, node, []workload.Request{req(0, 0, 1, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRetryBudgetExhaustionSheds(t *testing.T) {
 	node.RetryBase = iso / 100
 	node.RetryCap = iso / 50
 	node.Trace = &Trace{}
-	out, err := node.Run([]workload.Request{req(0, 0, 1, 5)})
+	out, err := simulateChecked(t, node, []workload.Request{req(0, 0, 1, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestDeadChipRejectsUnknownModel(t *testing.T) {
 	node.Trace, node.Attrib = &Trace{}, obs.NewLedger(0)
 	lost := req(1, iso+1, 1, 5)
 	lost.Model = "no-such-model"
-	out, err := node.Run([]workload.Request{req(0, 0, 1, 5), lost})
+	out, err := simulateChecked(t, node, []workload.Request{req(0, 0, 1, 5), lost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +345,30 @@ func TestDeadChipRejectsUnknownModel(t *testing.T) {
 	}
 	if c := node.Attrib.Cause(0); c != obs.CauseShedDeadChip {
 		t.Fatalf("drained request closed with cause %v, want shed-dead-chip", c)
+	}
+}
+
+// TestDeadChipDrainFreesEveryRecord kills the chip for good with a task
+// backing off after its kill, a task queued and a request still to
+// arrive: the drain sheds all three, and the two admitted tasks' records
+// go back to the slab.
+func TestDeadChipDrainFreesEveryRecord(t *testing.T) {
+	node, prog := testNode(t, fullPolicy{})
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	var links []fault.Event
+	for pod := 0; pod < 4; pod++ {
+		links = append(links, fault.Event{Time: iso / 2, Kind: fault.KindLink, Unit: pod})
+	}
+	node.Faults = injectorOf(t, links)
+	// The killed task is still backing off when the second request
+	// arrives on the dead chip.
+	node.RetryBase, node.RetryCap = 4*iso, 4*iso
+	out, err := simulateChecked(t, node, []workload.Request{req(0, 0, 1, 5), req(1, iso, 1, 5), req(2, 2*iso, 1, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Killed != 1 || out.Retries != 1 || out.Shed != 3 {
+		t.Fatalf("Killed=%d Retries=%d Shed=%d, want 1, 1 and 3", out.Killed, out.Retries, out.Shed)
 	}
 }
 

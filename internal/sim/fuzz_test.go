@@ -57,6 +57,8 @@ func fuzzStream(data []byte, iso float64) []workload.Request {
 // masking, bits 3-4 pick what fails (subarray 0, subarray 15, pod 0's
 // link or every pod link) and bits 5-7 when it first lands. The fault
 // lands twice, half an isolated run apart, and MaxAttempts is 0, 1 or 2.
+// In the last slot (bits 5-7 all set) it is never repaired, so failing
+// every pod link kills the chip for good.
 // It returns a fresh injector per call (injectors are stateful), or nil.
 func fuzzFaults(node *Node, extra byte, iso float64) func() *fault.Injector {
 	if extra&1 == 0 {
@@ -82,9 +84,13 @@ func fuzzFaults(node *Node, extra byte, iso float64) func() *fault.Injector {
 		}
 	}
 	s := &fault.Schedule{Units: 16, Pods: 4}
+	repair := iso / 3
+	if slot == 7 {
+		repair = 0 // permanent
+	}
 	for _, at := range []float64{float64(slot) * iso / 4, float64(slot)*iso/4 + iso/2} {
 		for _, e := range failing {
-			e.Time, e.Duration = at, iso/3
+			e.Time, e.Duration = at, repair
 			s.Events = append(s.Events, e)
 		}
 	}
@@ -94,6 +100,46 @@ func fuzzFaults(node *Node, extra byte, iso float64) func() *fault.Injector {
 			panic(err)
 		}
 		return in
+	}
+}
+
+// simulateChecked is Node.Run on a run state of its own. After a run
+// that succeeds it asserts that every task record is back on the slab's
+// free list (checkSlabFree).
+func simulateChecked(t *testing.T, node *Node, reqs []workload.Request) (*Outcome, error) {
+	t.Helper()
+	r := new(run)
+	defer r.release()
+	out, err := r.simulate(node, reqs)
+	if err == nil {
+		checkSlabFree(t, r)
+	}
+	return out, err
+}
+
+// checkSlabFree asserts that each of the slab's records is on its free
+// list exactly once: every request's record went back at its one
+// terminal point, and none went back twice.
+func checkSlabFree(t *testing.T, r *run) {
+	t.Helper()
+	if want := len(r.chunks) * slabChunk; len(r.free) != want {
+		t.Fatalf("%d of %d task records free when the run ended", len(r.free), want)
+	}
+	seen := make(map[*Task]bool, len(r.free))
+	for _, rec := range r.free {
+		if seen[rec] {
+			t.Fatalf("task record %p on the free list twice", rec)
+		}
+		seen[rec] = true
+	}
+}
+
+// checkFairness asserts that the fairness folded at retirement equals,
+// bit for bit, the reference computed from the Outcome (refFairness).
+func checkFairness(t *testing.T, node *Node, reqs []workload.Request, out *Outcome) {
+	t.Helper()
+	if want := refFairness(node, reqs, out); math.Float64bits(out.Fairness) != math.Float64bits(want) {
+		t.Fatalf("Fairness = %v, reference over the Outcome %v", out.Fairness, want)
 	}
 }
 
@@ -149,11 +195,13 @@ func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outco
 // tied arrivals, duplicate and non-positional IDs, an unknown model, and
 // NaN, ±Inf and negative fields, under the map-path, slice-path and
 // elastic test policies, every shed policy and, per the extra header
-// byte, a transient fault schedule (fuzzFaults) and all four sinks
-// (bit 1). Run must not panic, must fail exactly when workload.Validate
-// rejects the stream, and on success must account for every request
-// (completed + shed + rejected = n) with no finish before its arrival; an
-// observed run must pass checkObserved. A stream with distinct arrivals,
+// byte, a fault schedule (fuzzFaults) and all four sinks (bit 1). Run
+// must not panic, must fail exactly when workload.Validate rejects the
+// stream, and on success must account for every request (completed +
+// shed + rejected = n) with no finish before its arrival, give every
+// task record back to the slab (checkSlabFree) and fold the reference
+// fairness (checkFairness); an observed run must pass checkObserved. A
+// stream with distinct arrivals,
 // shuffled with IDs kept, must give every request the same finish bit for
 // bit.
 func FuzzNodeRun(f *testing.F) {
@@ -164,6 +212,9 @@ func FuzzNodeRun(f *testing.F) {
 	// Every pod link fails, twice, before the only arrival: the faults
 	// must be applied, and traced, before the arrival is.
 	f.Add(byte(1), byte(0x5f), []byte("000000"))
+	// Every pod link fails for good while tasks run and more arrive: the
+	// dead-chip drain sheds them all.
+	f.Add(byte(1), byte(0xfb), []byte{0, 0, 0, 16, 0, 1, 16, 32, 64, 16, 2, 32, 48, 16, 0, 3})
 	f.Fuzz(func(t *testing.T, setup, extra byte, data []byte) {
 		node, prog := testNode(t, nil)
 		iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
@@ -188,7 +239,7 @@ func FuzzNodeRun(f *testing.F) {
 		newPolicy := policies[int(setup)%len(policies)]
 		node.Shed = ShedPolicy(setup / 4 % 3)
 		node.Policy = newPolicy()
-		out, err := node.Run(reqs)
+		out, err := simulateChecked(t, node, reqs)
 		verr := workload.Validate(reqs)
 		if (err != nil) != (verr != nil) {
 			t.Fatalf("Run error %v, Validate error %v", err, verr)
@@ -209,6 +260,7 @@ func FuzzNodeRun(f *testing.F) {
 		if completed+out.Shed+out.Rejected != len(reqs) {
 			t.Fatalf("completed %d + shed %d + rejected %d != %d requests", completed, out.Shed, out.Rejected, len(reqs))
 		}
+		checkFairness(t, node, reqs, out)
 		if observed {
 			checkObserved(t, node, reqs, out)
 		}

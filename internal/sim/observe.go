@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"planaria/internal/obs"
@@ -53,10 +54,22 @@ func (r *run) attach(n *Node) {
 	r.led.Reset(len(r.reqs))
 	r.occ.SetUnits(int64(r.total))
 	// A typical request contributes arrival + alloc + finish plus a queue
-	// sample; reserving 4 events per request keeps steady-state tracing
+	// sample to the trace, and a handful of counter samples plus its span
+	// to the timeline; reserving per request keeps steady-state tracing
 	// off the allocator.
 	r.trace.Reserve(4 * len(r.reqs))
+	if r.tracer != nil {
+		r.tracer.Reserve(timelinePerRequest * len(r.reqs))
+		r.tracks = slices.Grow(r.tracks[:0], len(r.reqs))[:len(r.reqs)]
+		clear(r.tracks)
+	}
 }
+
+// timelinePerRequest bounds the timeline events a request adds in a
+// shallow-queue run (about five, measured on Scenario A): its allocation
+// and completion samples and span, and its share of the queue and chip
+// counters sampled at each scheduling event.
+const timelinePerRequest = 6
 
 // emit folds one engine event into every attached view.
 func (r *run) emit(e Event) {
@@ -129,7 +142,7 @@ func (r *run) count(e *Event) {
 func (r *run) countOutcome(out *Outcome) {
 	add := func(name string, v int) { r.reg.Counter(name).Add(float64(v)) }
 	add("sim_requests_total", len(r.reqs))
-	add("sim_completions_total", len(r.pp))
+	add("sim_completions_total", r.completed)
 	add("sim_kills_total", out.Killed)
 	add("sim_retries_total", out.Retries)
 	add("sim_sheds_total", out.Shed)
@@ -158,13 +171,13 @@ func (r *run) timeline(e *Event) {
 	case EvKill:
 		tb.Instant("faults", fmt.Sprintf("kill task %d (attempt %d)", e.Task, e.Attempt), e.Time,
 			obs.Str("model", e.Model), obs.Num("attempt", float64(e.Attempt)))
-		tb.Counter(taskTrack(e.Task), "subarrays", e.Time, 0)
+		tb.CounterOn(r.taskTrack(e), "subarrays", e.Time, 0)
 	case EvRefission, EvPreempt:
 		tb.Instant("sched", fmt.Sprintf("%s task %d -> %d", e.Kind, e.Task, e.Alloc), e.Time,
 			obs.Str("model", e.Model), obs.Num("subarrays", float64(e.Alloc)))
-		tb.Counter(taskTrack(e.Task), "subarrays", e.Time, float64(e.Alloc))
+		tb.CounterOn(r.taskTrack(e), "subarrays", e.Time, float64(e.Alloc))
 	case EvAlloc:
-		tb.Counter(taskTrack(e.Task), "subarrays", e.Time, float64(e.Alloc))
+		tb.CounterOn(r.taskTrack(e), "subarrays", e.Time, float64(e.Alloc))
 	case EvQueue:
 		tb.Counter("queue", "inflight", e.Time, float64(e.Depth))
 		tb.Counter("queue", "running", e.Time, float64(e.Running))
@@ -173,20 +186,25 @@ func (r *run) timeline(e *Event) {
 	case EvFinish:
 		q := &r.reqs[e.Pos]
 		lat := e.Time - q.Arrival
-		tb.Span(taskTrack(e.Task), fmt.Sprintf("req %d %s", e.Task, e.Model), q.Arrival, e.Time,
+		track := r.taskTrack(e)
+		tb.SpanOn(track, fmt.Sprintf("req %d %s", e.Task, e.Model), q.Arrival, e.Time,
 			obs.Str("model", e.Model),
 			obs.Num("priority", float64(q.Priority)),
 			obs.Num("latency_ms", lat*1e3),
 			obs.Num("deadline_ms", (q.Deadline-q.Arrival)*1e3),
 			obs.Num("preemptions", float64(e.Depth)))
-		tb.Counter(taskTrack(e.Task), "subarrays", e.Time, 0)
+		tb.CounterOn(track, "subarrays", e.Time, 0)
 	}
 }
 
-// taskTrack names one request's timeline track; zero-padded so Perfetto's
+// taskTrack returns the timeline track of e's request, interning it on
+// the request's first sample. The name is zero-padded so Perfetto's
 // lexicographic track ordering matches request IDs.
-func taskTrack(id int) string {
-	return fmt.Sprintf("task %03d", id)
+func (r *run) taskTrack(e *Event) int {
+	if r.tracks[e.Pos] == 0 {
+		r.tracks[e.Pos] = int32(r.tracer.Track(fmt.Sprintf("task %03d", e.Task))) + 1
+	}
+	return int(r.tracks[e.Pos]) - 1
 }
 
 // attribute is the ledger fold: an arrival opens the request's record in

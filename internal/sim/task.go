@@ -172,17 +172,21 @@ func (t *Task) advance(dtCycles int64) int64 {
 	tab := t.Prog.Table(t.Alloc)
 	joules := t.bind.joules[tab.Subarrays-1]
 	scale := t.workScale()
-	for consumed < dtCycles && !t.Done() {
-		lp := &tab.Layers[t.Layer]
+	// The progress fields live in registers for the loop and are written
+	// back once; Done's layer count is hoisted.
+	layers := len(t.Prog.Table(1).Layers)
+	layer, frac, energyJ := t.Layer, t.Frac, t.EnergyJ
+	for consumed < dtCycles && layer < layers {
+		lp := &tab.Layers[layer]
 		// A scaled layer stretches uniformly: cycles and dynamic energy
 		// both multiply by the work factor, tile structure is unchanged.
 		layerCycles := float64(lp.Cycles)
-		layerJoules := joules[t.Layer]
+		layerJoules := joules[layer]
 		if scale != 1 {
 			layerCycles *= scale
 			layerJoules *= scale
 		}
-		remFrac := 1 - t.Frac
+		remFrac := 1 - frac
 		remCycles := int64(remFrac * layerCycles)
 		if remCycles <= 0 {
 			remCycles = 1
@@ -191,19 +195,20 @@ func (t *Task) advance(dtCycles int64) int64 {
 		if budget >= remCycles {
 			// Finish this layer.
 			consumed += remCycles
-			t.EnergyJ += remFrac * layerJoules
-			t.Layer++
-			t.Frac = 0
+			energyJ += remFrac * layerJoules
+			layer++
+			frac = 0
 		} else {
 			df := float64(budget) / layerCycles
-			t.Frac += df
-			if t.Frac > 1 {
-				t.Frac = 1
+			frac += df
+			if frac > 1 {
+				frac = 1
 			}
-			t.EnergyJ += df * layerJoules
+			energyJ += df * layerJoules
 			consumed += budget
 		}
 	}
+	t.Layer, t.Frac, t.EnergyJ = layer, frac, energyJ
 	return consumed
 }
 
