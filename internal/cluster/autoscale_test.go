@@ -482,3 +482,42 @@ func TestDrainAttribution(t *testing.T) {
 		t.Fatal("no drain-migrate phase spans recorded")
 	}
 }
+
+// TestDrainMigrationKeepsCapacity checks that the records an unbatched
+// autoscaled run appends for migrated groups fit the drainHeadroom
+// reserved in start: neither the dispatch records nor their estimated
+// ends regrow while the walk migrates. A fresh run state stands in for
+// a pooled one, whose buffers may carry a larger earlier run's capacity.
+// The burst leaves 27 requests queued on the drained chip.
+func TestDrainMigrationKeepsCapacity(t *testing.T) {
+	reqs := burstReqs(200, 50, 10, 5, 0.0, 0.004, 3000)
+	r := &run{
+		cfg: Config{
+			System: spatialSystem(t), Chips: 3,
+			Scale: &Autoscale{
+				Min: 1, Initial: 3, IntervalS: 0.002,
+				Controller: &Script{Steps: []ScaleStep{{AtS: 0.002, Chips: 2}}},
+			},
+		},
+		reqs: reqs, pol: leastWork,
+		chips: make([]chip, 3), errs: make([]error, 3),
+	}
+	if err := r.start(); err != nil {
+		t.Fatal(err)
+	}
+	capD, capE := cap(r.dispatches), cap(r.ends)
+	if capD != len(reqs)+drainHeadroom || capE != capD {
+		t.Fatalf("start reserved %d dispatch and %d end records, want %d", capD, capE, len(reqs)+drainHeadroom)
+	}
+	r.admit()
+	r.walk()
+	if m := r.out.Migrated; m == 0 || m > drainHeadroom {
+		t.Fatalf("drain migrated %d groups, want 1..%d", m, drainHeadroom)
+	}
+	if len(r.dispatches) <= len(reqs) {
+		t.Fatalf("%d dispatch records for %d requests: no migrated record appended", len(r.dispatches), len(reqs))
+	}
+	if cap(r.dispatches) != capD || cap(r.ends) != capE {
+		t.Fatalf("migration regrew the records: capacity %d/%d -> %d/%d", capD, capE, cap(r.dispatches), cap(r.ends))
+	}
+}

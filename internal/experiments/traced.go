@@ -41,12 +41,6 @@ func tracedSystem(sys metrics.System, o *obs.Observer, reqs []workload.Request) 
 		Trace:    &sim.Trace{},
 		Obs:      o,
 	}
-	// Pre-size both event sinks so the whole run records on the engines'
-	// zero-alloc append paths (DESIGN.md §12). A request contributes a
-	// bounded handful of events to each sink: lifecycle records on the
-	// engine trace, and spans plus scheduler counters on the timeline.
-	node.Trace.Reserve(4 * len(reqs))
-	o.Tracer().Reserve(8 * len(reqs))
 	out, err := node.Run(reqs)
 	if err != nil {
 		return nil, fmt.Errorf("traced %s run: %w", sys.Name, err)
