@@ -42,6 +42,10 @@ type Table struct {
 	// len(Layers)+1 entries, so CumCycles[len] == TotalCycles. The
 	// scheduler's PREDICTTIME is a lookup into this prefix sum.
 	CumCycles []int64
+	// MinCycles is the fewest cycles of any layer. A table built by hand
+	// may leave it 0, which claims nothing: the simulator then steps
+	// through the table one layer at a time.
+	MinCycles int64
 	Acct      energy.Account
 }
 
@@ -81,6 +85,9 @@ func Compile(net *dnn.Network, cfg arch.Config, s int, fissionable bool) (*Table
 			Acct:          r.Acct,
 		}
 		t.Layers = append(t.Layers, plan)
+		if i == 0 || r.Cycles < t.MinCycles {
+			t.MinCycles = r.Cycles
+		}
 		t.TotalCycles += r.Cycles
 		t.TotalTiles += r.Tiles
 		t.Acct.Add(r.Acct)
@@ -115,6 +122,32 @@ func (t *Table) RemainingCycles(layer int, tilesDone int64) int64 {
 	return rem
 }
 
+// LayersWithin returns the largest k in [layer, len(Layers)] such that
+// layers [layer, k) take at most budget cycles in all, by CumCycles. It
+// expects 0 ≤ layer ≤ len(Layers), budget ≥ 0 and no layer with
+// negative cycles.
+func (t *Table) LayersWithin(layer int, budget int64) int {
+	base := t.CumCycles[layer]
+	n := len(t.Layers)
+	if t.CumCycles[n]-base <= budget {
+		return n
+	}
+	if t.CumCycles[layer+1]-base > budget {
+		return layer
+	}
+	// CumCycles[lo]-base ≤ budget < CumCycles[hi]-base throughout.
+	lo, hi := layer+1, n
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if t.CumCycles[mid]-base <= budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Program bundles the 16 per-allocation tables for one network on one
 // hardware configuration — the artifact INFaaS deploys per model.
 type Program struct {
@@ -130,8 +163,8 @@ type Program struct {
 
 // paramJoules is one LayerJoules result and the parameters it holds for.
 type paramJoules struct {
-	params energy.Params
-	rows   [][]float64
+	params     energy.Params
+	rows, sums [][]float64
 }
 
 // maxJoulesMemo bounds a program's LayerJoules memo: past this many
@@ -173,30 +206,37 @@ func (p *Program) Table(s int) *Table {
 }
 
 // LayerJoules returns every layer's energy under params at every
-// allocation: rows[s-1][l] is Table(s).Layers[l].Acct.Joules(params), bit
-// for bit. The rows are computed once per parameter set and shared by all
-// callers, which must not modify them.
+// allocation, and its running sums: rows[s-1][l] is
+// Table(s).Layers[l].Acct.Joules(params), bit for bit, and sums[s-1][l]
+// is rows[s-1][0] + … + rows[s-1][l-1], accumulated from 0 in layer
+// order, so sums[s-1][l+1] == sums[s-1][l] + rows[s-1][l] bit for bit. A
+// sums row has one entry more than its table has layers, like CumCycles.
+// Both are computed once per parameter set and shared by all callers,
+// which must not modify them.
 //
 //perf:cold one-time energy fill: once per program and parameter set, bound before a run's event loop
-func (p *Program) LayerJoules(params energy.Params) [][]float64 {
+func (p *Program) LayerJoules(params energy.Params) (rows, sums [][]float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.joules {
 		if e.params == params {
-			return e.rows
+			return e.rows, e.sums
 		}
 	}
-	rows := make([][]float64, len(p.tables))
+	rows = make([][]float64, len(p.tables))
+	sums = make([][]float64, len(p.tables))
 	for i, tab := range p.tables {
 		rows[i] = make([]float64, len(tab.Layers))
+		sums[i] = make([]float64, len(tab.Layers)+1)
 		for l := range tab.Layers {
 			rows[i][l] = tab.Layers[l].Acct.Joules(params)
+			sums[i][l+1] = sums[i][l] + rows[i][l]
 		}
 	}
 	if len(p.joules) < maxJoulesMemo {
-		p.joules = append(p.joules, paramJoules{params, rows})
+		p.joules = append(p.joules, paramJoules{params, rows, sums})
 	}
-	return rows
+	return rows, sums
 }
 
 // MaxAlloc returns the largest allocation the program was compiled for.

@@ -23,7 +23,7 @@ func TestLayerJoules(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := energy.Default()
-	rows := p.LayerJoules(params)
+	rows, _ := p.LayerJoules(params)
 	if len(rows) != p.MaxAlloc() {
 		t.Fatalf("%d rows, want %d", len(rows), p.MaxAlloc())
 	}
@@ -38,13 +38,50 @@ func TestLayerJoules(t *testing.T) {
 			}
 		}
 	}
-	if again := p.LayerJoules(params); &again[0][0] != &rows[0][0] {
+	if again, _ := p.LayerJoules(params); &again[0][0] != &rows[0][0] {
 		t.Error("repeated parameter set recomputed its rows")
 	}
 	for i := 0; i < 2*maxJoulesMemo; i++ {
 		q := params
 		q.MACpJ += float64(i + 1)
 		p.LayerJoules(q)
+	}
+	if len(p.joules) != maxJoulesMemo {
+		t.Errorf("memo holds %d parameter sets, bound %d", len(p.joules), maxJoulesMemo)
+	}
+}
+
+// TestLayerJoulesPrefix checks the running sums against sequential adds
+// from 0 in layer order, bit for bit, and that they are memoized with
+// the rows, under the same bound.
+func TestLayerJoulesPrefix(t *testing.T) {
+	p, err := CompileProgram(toyNet(t), arch.Planaria(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := energy.Default()
+	for i := 0; i < maxJoulesMemo+2; i++ {
+		rows, sums := p.LayerJoules(params)
+		for s := range rows {
+			if len(sums[s]) != len(rows[s])+1 {
+				t.Fatalf("alloc %d: %d sums for %d layers", s+1, len(sums[s]), len(rows[s]))
+			}
+			acc := 0.0
+			for l, j := range rows[s] {
+				if sums[s][l] != acc {
+					t.Fatalf("alloc %d: sums[%d] = %v, sequential adds %v", s+1, l, sums[s][l], acc)
+				}
+				acc += j
+			}
+			if last := sums[s][len(rows[s])]; last != acc {
+				t.Fatalf("alloc %d: last sum %v, sequential adds %v", s+1, last, acc)
+			}
+		}
+		memoized := i < maxJoulesMemo
+		if _, again := p.LayerJoules(params); (&again[0][0] == &sums[0][0]) != memoized {
+			t.Errorf("parameter set %d: sums shared %v, want %v", i, !memoized, memoized)
+		}
+		params.MACpJ += 1
 	}
 	if len(p.joules) != maxJoulesMemo {
 		t.Errorf("memo holds %d parameter sets, bound %d", len(p.joules), maxJoulesMemo)

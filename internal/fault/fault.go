@@ -196,6 +196,7 @@ type Health struct {
 	deadSub     []int // active subarray-level faults (KindSubarray)
 	deadPE      []int // active dead-PE faults per subarray
 	deadLink    []int // active link faults per pod
+	alive       int   // usable subarrays, kept current by apply
 }
 
 // NewHealth returns an all-alive health state.
@@ -207,6 +208,7 @@ func NewHealth(units, pods int) *Health {
 		deadSub:  make([]int, units),
 		deadPE:   make([]int, units),
 		deadLink: make([]int, pods),
+		alive:    units,
 	}
 }
 
@@ -223,15 +225,7 @@ func (h *Health) UsableSub(i int) bool {
 }
 
 // Alive returns the number of usable subarrays.
-func (h *Health) Alive() int {
-	n := 0
-	for i := 0; i < h.units; i++ {
-		if h.UsableSub(i) {
-			n++
-		}
-	}
-	return n
-}
+func (h *Health) Alive() int { return h.alive }
 
 // Fraction returns the usable share of the subarray pool.
 func (h *Health) Fraction() float64 {
@@ -248,11 +242,21 @@ func (h *Health) Mask() arch.HealthMask {
 	return arch.HealthMask{Usable: u}
 }
 
-// apply registers a fault landing (up=false) or repairing (up=true).
+// apply registers a fault landing (up=false) or repairing (up=true) and
+// moves the usable count by the subarrays whose usability it flipped.
 func (h *Health) apply(e Event, up bool) {
 	d := 1
 	if up {
 		d = -1
+	}
+	first, last := e.Unit, e.Unit+1 // the subarrays the event can flip
+	if e.Kind == KindLink {
+		first, last = e.Unit*h.subPerPod(), (e.Unit+1)*h.subPerPod()
+	}
+	for i := first; i < last; i++ {
+		if h.UsableSub(i) {
+			h.alive--
+		}
 	}
 	switch e.Kind {
 	case KindSubarray:
@@ -261,6 +265,11 @@ func (h *Health) apply(e Event, up bool) {
 		h.deadPE[e.Unit] += d
 	case KindLink:
 		h.deadLink[e.Unit] += d
+	}
+	for i := first; i < last; i++ {
+		if h.UsableSub(i) {
+			h.alive++
+		}
 	}
 }
 
@@ -325,6 +334,12 @@ func (in *Injector) NextChange(after float64) float64 {
 		}
 	}
 	return math.Inf(1)
+}
+
+// Due reports whether a transition is due at t: whether AdvanceTo(t)
+// would apply any.
+func (in *Injector) Due(t float64) bool {
+	return in.next < len(in.trans) && simtime.Due(in.trans[in.next].Time, t)
 }
 
 // AdvanceTo applies every transition with Time ≤ t and returns them in

@@ -141,6 +141,39 @@ func TestInjectorReplay(t *testing.T) {
 	}
 }
 
+// TestAliveCountAndDue replays dense seeded schedules, whose transient
+// faults overlap on the same units and pods, in steps: the usable count
+// apply keeps must equal a recount over UsableSub after every step, and
+// Due must say exactly whether AdvanceTo applies anything.
+func TestAliveCountAndDue(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		s, err := Generate(16, 4, 400, 0.1, 0.02, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := NewInjector(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := in.Health()
+		for now := 0.0; in.Pending(); now += 0.0007 {
+			due := in.Due(now)
+			if applied := len(in.AdvanceTo(now)); due != (applied > 0) {
+				t.Fatalf("seed %d t=%g: Due = %v, AdvanceTo applied %d", seed, now, due, applied)
+			}
+			n := 0
+			for i := 0; i < h.Units(); i++ {
+				if h.UsableSub(i) {
+					n++
+				}
+			}
+			if h.Alive() != n {
+				t.Fatalf("seed %d t=%g: Alive = %d, %d subarrays usable", seed, now, h.Alive(), n)
+			}
+		}
+	}
+}
+
 func TestParseJSONRoundTrip(t *testing.T) {
 	src := `{
 	  "units": 16,

@@ -60,10 +60,17 @@ type Aggregate struct {
 	MeanLatMS float64 // mean request latency, milliseconds
 }
 
-// instance simulates workload instance inst of one evaluation point:
-// its own seeded request stream on a fresh node.
+// stream generates the request stream of workload instance inst of one
+// evaluation point, seeded by the instance. Evaluate and the max-QPS
+// votes both simulate it on a fresh node.
+func stream(sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options, inst int) ([]workload.Request, error) {
+	return workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
+}
+
+// instance simulates workload instance inst of one evaluation point in
+// full.
 func (s System) instance(sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options, inst int) (*sim.Outcome, error) {
-	reqs, err := workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
+	reqs, err := stream(sc, lvl, qps, opt, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +147,9 @@ func Evaluate(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float
 // 13-14 MB, as the garbage collector's concurrent mark waited longer for
 // the processor.) The first error
 // among the instances run, in index order, ends the vote; an instance
-// that never ran reports no error.
+// that never ran reports no error, and neither does one whose vote
+// stopped early (as sim.Node.MeetsSLA does) on an error it would have
+// hit after its verdict was fixed.
 func Majority(n int, vote func(inst int) (bool, error)) (bool, error) {
 	need := (n + 1) / 2 // the yes votes that carry it
 	votes := make([]bool, n)
@@ -167,21 +176,27 @@ func Majority(n int, vote func(inst int) (bool, error)) (bool, error) {
 }
 
 // meetsAt reports whether a majority of instances meet the SLA at qps,
-// simulating only the instances Majority needs to decide.
+// simulating only the instances Majority needs to decide, each only until
+// its verdict is certain (sim.Node.MeetsSLA).
 func meetsAt(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options) (bool, error) {
 	if err := opt.validate(); err != nil {
 		return false, err
 	}
 	return Majority(opt.Instances, func(inst int) (bool, error) {
-		out, err := sys.instance(sc, lvl, qps, opt, inst)
-		return err == nil && out.MeetsSLA, err
+		reqs, err := stream(sc, lvl, qps, opt, inst)
+		if err != nil {
+			return false, err
+		}
+		return sys.node().MeetsSLA(reqs)
 	})
 }
 
 // Throughput finds the maximum sustainable QPS under the SLA: MaxQPS over
 // a majority vote of Options.Instances instances per probed rate. Each
-// vote stops once its verdict is fixed, so an error in an instance the
-// vote never ran is not seen.
+// vote stops once its verdict is fixed, and each instance's run once its
+// own SLA verdict is (sim.Node.MeetsSLA), so an error in an instance the
+// vote never ran, or one that a run would have hit after its verdict was
+// fixed, is not seen.
 func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Options) (float64, error) {
 	return MaxQPS(func(qps float64) (bool, error) { return meetsAt(sys, sc, lvl, qps, opt) })
 }
@@ -191,7 +206,8 @@ func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Opt
 // the last bracket for at most 10 steps or until it is within 5%. meets
 // must be monotone in the rate; its first error aborts the search. The
 // searches in this repository pass a Majority vote as meets, which
-// decides early: only the instances it runs can report an error.
+// decides early: only the instances it runs can report an error, and in
+// Throughput only before the instance's own verdict is fixed.
 func MaxQPS(meets func(qps float64) (bool, error)) (float64, error) {
 	const (
 		minQPS = 0.5

@@ -95,7 +95,8 @@ func TestRefissionOffRunAllocParity(t *testing.T) {
 
 // TestNodeRunAllocs pins the allocations of one warm Node.Run on a fixed
 // 16-request stream, untraced, traced, and with the trace, the
-// attribution ledger and occupancy all attached: three for the Outcome
+// attribution ledger and occupancy all attached, and of one warm
+// Node.MeetsSLA (a verdict-only run) on it: three for the Outcome
 // and its two slices, ten for the chip power breakdown behind the
 // leakage charge. Everything else (tasks, scheduling buffers, the retry
 // queue) comes from pooled state, the event loop itself allocates
@@ -109,9 +110,9 @@ func TestNodeRunAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		reqs = append(reqs, req(i, float64(i)*iso/3, 8*iso, 1+i%11))
 	}
-	for _, sinks := range []string{"untraced", "traced", "trace+attrib+occ"} {
+	for _, sinks := range []string{"untraced", "traced", "trace+attrib+occ", "MeetsSLA"} {
 		node.Trace, node.Attrib, node.Occ = nil, nil, nil
-		if sinks != "untraced" {
+		if sinks == "traced" || sinks == "trace+attrib+occ" {
 			node.Trace = &Trace{}
 		}
 		if sinks == "trace+attrib+occ" {
@@ -122,7 +123,13 @@ func TestNodeRunAllocs(t *testing.T) {
 				node.Trace.Events = node.Trace.Events[:0]
 			}
 			node.Occ.Reset()
-			if _, err := node.Run(reqs); err != nil {
+			var err error
+			if sinks == "MeetsSLA" {
+				_, err = node.MeetsSLA(reqs)
+			} else {
+				_, err = node.Run(reqs)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -138,7 +138,29 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 	return r.simulate(n, reqs)
 }
 
-// simulate is Run on the pooled state r.
+// MeetsSLA reports whether the requests meet the MLPerf server SLA on the
+// node: Run(reqs).MeetsSLA, without simulating what the verdict does not
+// need. The run stops as soon as some domain can no longer meet the SLA
+// (verdict.go), so an error a full run would hit after that point is not
+// seen and false is returned instead. With any sink attached the run goes
+// to the end, so every sink sees a whole run.
+//
+//perf:hot the max-QPS searches' vote: one call per instance per probed rate
+func (n *Node) MeetsSLA(reqs []workload.Request) (bool, error) {
+	r := runPool.Get().(*run)
+	defer runPool.Put(r)
+	defer r.release()
+	r.verdictOnly = true
+	out, err := r.simulate(n, reqs)
+	if err != nil {
+		return false, err
+	}
+	return out.MeetsSLA, nil
+}
+
+// simulate is Run on the pooled state r. In a verdict-only run (see
+// MeetsSLA) that stops early, the Outcome is partial and its MeetsSLA is
+// false.
 func (r *run) simulate(n *Node, reqs []workload.Request) (*Outcome, error) {
 	if n.Policy == nil {
 		return nil, fmt.Errorf("sim: node has no policy")
@@ -168,6 +190,9 @@ func (r *run) simulate(n *Node, reqs []workload.Request) (*Outcome, error) {
 			now, active, retrying, admitted := r.now, len(r.tasks), r.retryQ.Len(), r.next
 			return nil, fmt.Errorf("sim: exceeded %d events (livelock?) at t=%.9f: %d tasks, %d retries queued, %d/%d arrivals admitted",
 				maxEvents, now, active, retrying, admitted, len(reqs))
+		}
+		if r.verdictOnly && r.failed() {
+			return r.out, nil
 		}
 		r.applyFaults()
 		if len(r.tasks) == 0 {
@@ -268,6 +293,15 @@ type run struct {
 	// lastDepth and lastRunning dedupe EvQueue: a sample is emitted only
 	// when the pair changes.
 	lastDepth, lastRunning int
+
+	// verdictOnly marks a MeetsSLA run with no sink attached: the run
+	// tallies certain misses per domain in doms and stops once doomed
+	// (verdict.go). lateAt is the earliest Deadline+1e-12 of the tasks in
+	// flight not yet counted late, or less.
+	verdictOnly bool
+	doomed      bool
+	lateAt      float64
+	doms        []domTally
 }
 
 var runPool = sync.Pool{New: func() any { return new(run) }}
@@ -284,6 +318,7 @@ const slabChunk = 64
 func (r *run) release() {
 	clear(r.binds)
 	clear(r.bindings)
+	clear(r.doms)
 	free := r.free[:0]
 	for _, c := range r.chunks {
 		clear(c)
@@ -301,6 +336,7 @@ func (r *run) release() {
 		tracks:     r.tracks[:0],
 		binds:      r.binds,
 		bindings:   r.bindings[:0],
+		doms:       r.doms[:0],
 	}
 }
 
@@ -337,10 +373,12 @@ func (r *run) start(n *Node, total int) {
 	}
 	r.bindings = slices.Grow(r.bindings, len(n.Programs))
 	for m, p := range n.Programs { //det:mapiter-ok builds a map from a map; contents are iteration-order-insensitive
+		joules, sums := p.LayerJoules(n.Params)
 		r.bindings = append(r.bindings, progBinding{
 			prog:   p,
 			iso:    float64(p.Table(total).TotalCycles) / r.cps,
-			joules: p.LayerJoules(n.Params),
+			joules: joules,
+			sums:   sums,
 		})
 		r.binds[m] = &r.bindings[len(r.bindings)-1]
 	}
@@ -356,6 +394,10 @@ func (r *run) start(n *Node, total int) {
 	r.observed = n.Trace != nil || n.Obs != nil || n.Attrib != nil || n.Occ != nil
 	if r.observed {
 		r.attach(n)
+	}
+	r.verdictOnly = r.verdictOnly && !r.observed
+	if r.verdictOnly {
+		r.startTally()
 	}
 }
 
@@ -404,6 +446,9 @@ func (r *run) arrive() (pos int, bind *progBinding, ok bool) {
 	}
 	if bind, ok = r.binds[q.Model]; !ok {
 		r.out.Rejected++
+		if r.verdictOnly {
+			r.miss(pos)
+		}
 		if r.observed {
 			r.emit(Event{Time: q.Arrival, Kind: EvReject, Task: q.ID, Model: q.Model, Pos: int32(pos), Cause: obs.CauseRejected})
 		}
@@ -441,6 +486,10 @@ func (r *run) admit() {
 		t.pos = pos
 		t.Attempts = 0
 		t.phase = obs.PhaseQueueWait
+		t.late = false
+		if r.verdictOnly {
+			r.lateAt = min(r.lateAt, q.Deadline+1e-12)
+		}
 		r.tasks = append(r.tasks, t)
 	}
 	// Killed tasks whose backoff has elapsed rejoin the queue; a task
@@ -480,6 +529,9 @@ func (r *run) take() *Task {
 // request that was never admitted.
 func (r *run) shed(at float64, pos int, t *Task, cause obs.Cause) {
 	attempt := 0
+	if r.verdictOnly && (t == nil || !t.late) {
+		r.miss(pos)
+	}
 	if t != nil {
 		attempt = t.Attempts
 		r.out.EnergyJ += t.EnergyJ
@@ -524,7 +576,7 @@ func (r *run) kill(t *Task) {
 // health mask to a health-aware policy. No-op without an injector.
 func (r *run) applyFaults() {
 	n := r.n
-	if n.Faults == nil {
+	if n.Faults == nil || !n.Faults.Due(r.now) {
 		return
 	}
 	h := n.Faults.Health()
@@ -534,9 +586,6 @@ func (r *run) applyFaults() {
 	}
 	r.prevUsable = prev
 	changes := n.Faults.AdvanceTo(r.now)
-	if len(changes) == 0 {
-		return
-	}
 	anyDown := false
 	for _, ch := range changes {
 		if !ch.Up {
@@ -841,6 +890,9 @@ func (r *run) retire() {
 			continue
 		}
 		t.Finish = now
+		if r.verdictOnly && !t.late && now > t.Req.Deadline+1e-12 {
+			r.miss(t.pos)
+		}
 		if r.observed {
 			r.emit(Event{Time: now, Kind: EvFinish, Task: t.ID, Model: t.Req.Model, Depth: t.Preemptions, Pos: int32(t.pos), Cause: obs.CauseDone})
 		}
@@ -885,9 +937,10 @@ func (r *run) finish() *Outcome {
 
 // progBinding is one model's interned admission state: its compiled
 // program, the isolated full-chip run time used by the fairness metric,
-// and its layer energies under the node's parameters.
+// and its layer energies under the node's parameters with their running
+// sums (compiler.Program.LayerJoules).
 type progBinding struct {
-	prog   *compiler.Program
-	iso    float64
-	joules [][]float64
+	prog         *compiler.Program
+	iso          float64
+	joules, sums [][]float64
 }

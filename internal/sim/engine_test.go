@@ -72,6 +72,13 @@ func testNode(t *testing.T, pol Policy) (*Node, *compiler.Program) {
 	}, prog
 }
 
+// testBinding is the binding Run gives prog under the default energy
+// parameters, for tests that drive a Task directly.
+func testBinding(prog *compiler.Program) *progBinding {
+	joules, sums := prog.LayerJoules(energy.Default())
+	return &progBinding{prog: prog, joules: joules, sums: sums}
+}
+
 func req(id int, arrival, qos float64, prio int) workload.Request {
 	return workload.Request{
 		ID: id, Model: "sim-toy", Domain: "classification",
@@ -357,7 +364,7 @@ func TestReallocChargesPenalty(t *testing.T) {
 
 func TestTaskAdvanceAcrossLayers(t *testing.T) {
 	_, prog := testNode(t, fullPolicy{})
-	task := &Task{ID: 0, Prog: prog, Alloc: 16, Finish: -1, bind: &progBinding{joules: prog.LayerJoules(energy.Default())}}
+	task := &Task{ID: 0, Prog: prog, Alloc: 16, Finish: -1, bind: testBinding(prog)}
 	total := prog.Table(16).TotalCycles
 	consumed := task.advance(total)
 	if consumed != total {
@@ -426,7 +433,7 @@ func TestSharedProgramsConcurrentParams(t *testing.T) {
 
 func TestRemainingCyclesMonotoneInProgress(t *testing.T) {
 	_, prog := testNode(t, fullPolicy{})
-	task := &Task{ID: 0, Prog: prog, Alloc: 4, Finish: -1, bind: &progBinding{joules: prog.LayerJoules(energy.Default())}}
+	task := &Task{ID: 0, Prog: prog, Alloc: 4, Finish: -1, bind: testBinding(prog)}
 	prev := task.RemainingCycles(4)
 	step := prev / 10
 	for i := 0; i < 9; i++ {

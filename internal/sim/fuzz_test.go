@@ -191,6 +191,28 @@ func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outco
 	}
 }
 
+// checkVerdict asserts that a verdict-only run of reqs on node, with a
+// fresh policy and fault injector and no sinks, agrees with the full
+// run's outcome out or error err: the same verdict, and where the full
+// run failed, the same error or false.
+func checkVerdict(t *testing.T, node Node, newPolicy func() Policy, faults func() *fault.Injector, reqs []workload.Request, out *Outcome, err error) {
+	t.Helper()
+	node.Policy = newPolicy()
+	node.Trace, node.Obs, node.Attrib, node.Occ = nil, nil, nil, nil
+	if faults != nil {
+		node.Faults = faults()
+	}
+	meets, verr := node.MeetsSLA(reqs)
+	switch {
+	case err == nil && (verr != nil || meets != out.MeetsSLA):
+		t.Fatalf("MeetsSLA = %v, %v; Run's verdict %v", meets, verr, out.MeetsSLA)
+	case err != nil && verr != nil && verr.Error() != err.Error():
+		t.Fatalf("MeetsSLA error %q, Run error %q", verr, err)
+	case err != nil && verr == nil && meets:
+		t.Fatalf("MeetsSLA = true where Run failed: %v", err)
+	}
+}
+
 // FuzzNodeRun drives Node.Run with small arbitrary streams: unsorted and
 // tied arrivals, duplicate and non-positional IDs, an unknown model, and
 // NaN, ±Inf and negative fields, under the map-path, slice-path and
@@ -200,7 +222,8 @@ func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outco
 // stream, and on success must account for every request (completed +
 // shed + rejected = n) with no finish before its arrival, give every
 // task record back to the slab (checkSlabFree) and fold the reference
-// fairness (checkFairness); an observed run must pass checkObserved. A
+// fairness (checkFairness); an observed run must pass checkObserved.
+// MeetsSLA must agree with Run (checkVerdict). A
 // stream with distinct arrivals,
 // shuffled with IDs kept, must give every request the same finish bit for
 // bit.
@@ -244,6 +267,7 @@ func FuzzNodeRun(f *testing.F) {
 		if (err != nil) != (verr != nil) {
 			t.Fatalf("Run error %v, Validate error %v", err, verr)
 		}
+		checkVerdict(t, *node, newPolicy, faults, reqs, out, err)
 		if err != nil {
 			return
 		}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"planaria/internal/energy"
 	"planaria/internal/obs"
 	"planaria/internal/workload"
 )
@@ -260,7 +259,7 @@ func TestRemainingCyclesByAllocMatchesScalar(t *testing.T) {
 	fresh := &Task{ID: 0, Prog: prog, Alloc: 4, Finish: -1}
 	check("fresh", fresh)
 
-	bind := &progBinding{joules: prog.LayerJoules(energy.Default())}
+	bind := testBinding(prog)
 	mid := &Task{ID: 1, Prog: prog, Alloc: 4, Finish: -1, bind: bind}
 	mid.advance(prog.Table(4).TotalCycles / 3)
 	mid.PenaltyCycles = 123
@@ -292,7 +291,7 @@ func TestTileBoundaryCycles(t *testing.T) {
 		t.Errorf("done boundary = %d, want its penalty 9", got)
 	}
 
-	running := &Task{ID: 2, Prog: prog, Alloc: 4, Finish: -1, bind: &progBinding{joules: prog.LayerJoules(energy.Default())}}
+	running := &Task{ID: 2, Prog: prog, Alloc: 4, Finish: -1, bind: testBinding(prog)}
 	running.advance(prog.Table(4).TotalCycles / 7)
 	b := running.TileBoundaryCycles()
 	if b < 1 {

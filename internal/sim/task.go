@@ -57,6 +57,9 @@ type Task struct {
 	// run is observed, so the event loop emits a phase boundary exactly
 	// when it changes.
 	phase obs.Phase
+	// late marks a task a verdict-only run has counted as a certain SLA
+	// miss, so its request is counted once.
+	late bool
 }
 
 // Done reports whether the task has completed every layer.
@@ -159,6 +162,14 @@ func (t *Task) Slack(now float64) float64 {
 // advance consumes up to dtCycles of work at the task's current
 // allocation and returns the cycles actually consumed (less than dtCycles
 // only if the task finishes first).
+//
+// From a layer boundary of an unbatched task, the layers that fit the
+// remaining budget finish in one step: their cycles are a CumCycles
+// difference, and their energy is the binding's running sum when EnergyJ
+// sits on that sum, bit for bit, and otherwise the same per-layer adds in
+// the same order. At a boundary remFrac is exactly 1, so this is what the
+// per-layer loop computes. A table that may hold a zero-cycle layer,
+// which the per-layer loop charges one cycle, is stepped layer by layer.
 func (t *Task) advance(dtCycles int64) int64 {
 	if t.Alloc <= 0 || dtCycles <= 0 {
 		return 0
@@ -171,12 +182,30 @@ func (t *Task) advance(dtCycles int64) int64 {
 	}
 	tab := t.Prog.Table(t.Alloc)
 	joules := t.bind.joules[tab.Subarrays-1]
+	sums := t.bind.sums[tab.Subarrays-1]
 	scale := t.workScale()
+	// Whole layers are exact while every layer charges its Cycles, at
+	// least 1 and converted to float64 without rounding.
+	whole := scale == 1 && tab.MinCycles > 0 && tab.TotalCycles <= 1<<53
 	// The progress fields live in registers for the loop and are written
 	// back once; Done's layer count is hoisted.
 	layers := len(t.Prog.Table(1).Layers)
 	layer, frac, energyJ := t.Layer, t.Frac, t.EnergyJ
 	for consumed < dtCycles && layer < layers {
+		if whole && frac == 0 {
+			if k := tab.LayersWithin(layer, dtCycles-consumed); k > layer {
+				consumed += tab.CumCycles[k] - tab.CumCycles[layer]
+				if math.Float64bits(energyJ) == math.Float64bits(sums[layer]) {
+					energyJ = sums[k]
+				} else {
+					for _, j := range joules[layer:k] {
+						energyJ += j
+					}
+				}
+				layer = k
+				continue
+			}
+		}
 		lp := &tab.Layers[layer]
 		// A scaled layer stretches uniformly: cycles and dynamic energy
 		// both multiply by the work factor, tile structure is unchanged.

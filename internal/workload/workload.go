@@ -249,11 +249,19 @@ func MeetsSLA(reqs []Request, finishes []float64) bool {
 		}
 	}
 	for i := range per {
-		if float64(per[i].ok) < SLATarget(per[i].dom)*float64(per[i].total)-1e-9 {
+		if !DomainMeets(per[i].dom, per[i].ok, per[i].total) {
 			return false
 		}
 	}
 	return true
+}
+
+// DomainMeets reports whether ok within-deadline requests out of a
+// domain's total reach the domain's SLATarget. It is the one per-domain
+// test of the SLA: MeetsSLA, SLAOutcomeFlat and the simulator's
+// verdict-only runs all apply it. It is monotone in ok.
+func DomainMeets(domain string, ok, total int) bool {
+	return float64(ok) >= SLATarget(domain)*float64(total)-1e-9
 }
 
 // SLAOutcomeFlat computes MeetsSLA and DeadlineFraction together in one
@@ -286,7 +294,7 @@ func SLAOutcomeFlat(domIDs []int32, domNames []string, deadlines, finishes []flo
 		if totPer[d] == 0 {
 			continue
 		}
-		if float64(okPer[d]) < SLATarget(name)*float64(totPer[d])-1e-9 {
+		if !DomainMeets(name, okPer[d], totPer[d]) {
 			meets = false
 			break
 		}
