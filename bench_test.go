@@ -1,12 +1,14 @@
 package planaria
 
 // The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (§VI). Each benchmark regenerates its artifact
-// and reports the headline quantities via b.ReportMetric, so
+// the paper's evaluation (§VI) from Fig 16 on. Each benchmark regenerates
+// its artifact and reports the headline quantities via b.ReportMetric:
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. Benchmarks use reduced instance sizes
+// The Fig 12–15 serving rows are pinned by the serving.txt golden
+// (internal/experiments) and timed by the repository benchmark's
+// paper-sweep workload (bench/). Benchmarks use reduced instance sizes
 // (150 requests × 2 seeds) to keep the sweep quick; `cmd/planaria`
 // regenerates the same artifacts at full fidelity.
 
@@ -41,74 +43,6 @@ func benchSuite(b *testing.B) *experiments.Suite {
 		b.Fatal(suiteErr)
 	}
 	return suite
-}
-
-var (
-	servingOnce sync.Once
-	servingRows []experiments.ServingRow
-	servingErr  error
-)
-
-// servingRowsFor runs the Fig 12–15 sweep once and shares the rows across
-// the four serving benchmarks.
-func servingRowsFor(b *testing.B) []experiments.ServingRow {
-	b.Helper()
-	s := benchSuite(b)
-	servingOnce.Do(func() {
-		servingRows, servingErr = s.ServingComparison()
-	})
-	if servingErr != nil {
-		b.Fatal(servingErr)
-	}
-	return servingRows
-}
-
-func pick(rows []experiments.ServingRow, wl, qos string) experiments.ServingRow {
-	for _, r := range rows {
-		if r.Workload == wl && r.QoS == qos {
-			return r
-		}
-	}
-	return experiments.ServingRow{}
-}
-
-// BenchmarkFig12Throughput regenerates Fig 12: maximum SLA-compliant QPS
-// for Planaria and PREMA per workload × QoS.
-func BenchmarkFig12Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := servingRowsFor(b)
-		b.ReportMetric(pick(rows, "Workload-A", "QoS-S").Ratio, "ratioA-S")
-		b.ReportMetric(pick(rows, "Workload-B", "QoS-S").Ratio, "ratioB-S")
-		b.ReportMetric(pick(rows, "Workload-C", "QoS-S").Ratio, "ratioC-S")
-		b.ReportMetric(pick(rows, "Workload-C", "QoS-H").Ratio, "ratioC-H")
-	}
-}
-
-// BenchmarkFig13SLA regenerates Fig 13: SLA satisfaction at a common rate.
-func BenchmarkFig13SLA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := servingRowsFor(b)
-		b.ReportMetric(pick(rows, "Workload-C", "QoS-S").SLAGainPct, "gainC-S-%")
-		b.ReportMetric(pick(rows, "Workload-C", "QoS-H").SLAGainPct, "gainC-H-%")
-	}
-}
-
-// BenchmarkFig14Fairness regenerates Fig 14: fairness normalized to PREMA.
-func BenchmarkFig14Fairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := servingRowsFor(b)
-		b.ReportMetric(pick(rows, "Workload-A", "QoS-S").FairRatio, "fairA-S")
-		b.ReportMetric(pick(rows, "Workload-C", "QoS-H").FairRatio, "fairC-H")
-	}
-}
-
-// BenchmarkFig15Energy regenerates Fig 15: workload energy reduction.
-func BenchmarkFig15Energy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := servingRowsFor(b)
-		b.ReportMetric(pick(rows, "Workload-B", "QoS-M").EnergyRatio, "energyB-M")
-		b.ReportMetric(pick(rows, "Workload-C", "QoS-M").EnergyRatio, "energyC-M")
-	}
 }
 
 // BenchmarkFig16ScaleOut regenerates Fig 16: minimum node count for SLA

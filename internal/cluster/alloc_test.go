@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"planaria/internal/obs"
 	"planaria/internal/sim"
 )
 
@@ -20,29 +21,40 @@ func warmAllocs(f func()) float64 {
 }
 
 // TestClusterRunAllocs pins the allocations of one warm, batched 3-chip
-// Run on a 400-request stream, untraced and with a fresh front-door
-// trace per call. The front end's working buffers come from pooled
-// state; what remains is the Outcome, the per-chip request layout and
-// results, the three chip simulations and, when traced, the trace's own
-// event buffer.
+// Run on a 400-request stream: untraced, with a fresh front-door trace
+// per call, and with a fresh trace and observer per call plus
+// attribution. The front end's working buffers come from pooled state;
+// what remains is the Outcome, the per-chip request layout and results,
+// the three chip simulations and, when traced, the trace's own event
+// buffer. With every sink attached the count adds the observer, its
+// series and timeline, the ledgers, and each chip's occupancy
+// accountant; that case formats names through fmt's pooled printers, so
+// it is pinned only without the race detector.
 func TestClusterRunAllocs(t *testing.T) {
 	sys := spatialSystem(t)
 	reqs := genReqs(400, 1500, 1, 21)
 	for _, c := range []struct {
-		traced bool
-		want   float64
-	}{{false, 51}, {true, 53}} {
-		cfg := Config{System: sys, Chips: 3, BatchWindow: 5e-4, MaxBatch: 4}
+		traced, sinks bool
+		want          float64
+	}{{false, false, 33}, {true, false, 35}, {true, true, 412}} {
+		if c.sinks && raceEnabled {
+			continue
+		}
+		cfg := Config{System: sys, Chips: 3, BatchWindow: 5e-4, MaxBatch: 4, Attrib: c.sinks}
 		run := func() {
 			if c.traced {
 				cfg.Trace = &sim.Trace{}
+			}
+			if c.sinks {
+				cfg.Obs = obs.New()
 			}
 			if _, err := Run(cfg, reqs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := warmAllocs(run); got > c.want {
-			t.Errorf("warm cluster.Run (traced=%v): %.0f allocs/op, want at most %.0f", c.traced, got, c.want)
+			t.Errorf("warm cluster.Run (traced=%v, all sinks=%v): %.0f allocs/op, want at most %.0f",
+				c.traced, c.sinks, got, c.want)
 		}
 	}
 }

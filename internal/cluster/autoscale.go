@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"planaria/internal/obs"
-	"planaria/internal/sim"
 )
 
 // Autoscaling (DESIGN.md §15): with Config.Scale set, the cluster's chip
@@ -226,38 +225,21 @@ type autoscaler struct {
 	cfg   Autoscale
 	chips int
 	slots []chipSlot
-	fleet *obs.Fleet
 
 	nextTick float64
 	debtMax  float64 // worst admission wait since the previous tick
 	arrivals int     // admits since the previous tick
-
-	// scale-event counters (registered only on scaled runs).
-	cUp, cDown, cDrains, cMigrated, cDrainShed *obs.Counter
 }
 
 // newAutoscaler builds the run's fleet state: slots 0..Initial-1 ready
 // at t = 0, the rest off.
 //
 //perf:cold per-run setup, before the serving loop
-func newAutoscaler(cfg *Autoscale, chips int, reg *obs.Registry) *autoscaler {
+func newAutoscaler(cfg *Autoscale, chips int) *autoscaler {
 	r := cfg.withDefaults()
-	a := &autoscaler{
-		cfg:        r,
-		chips:      chips,
-		slots:      make([]chipSlot, chips),
-		fleet:      obs.NewFleet(chips),
-		nextTick:   r.IntervalS,
-		cUp:        reg.Counter("cluster_scale_up_total"),
-		cDown:      reg.Counter("cluster_scale_down_total"),
-		cDrains:    reg.Counter("cluster_drains_total"),
-		cMigrated:  reg.Counter("cluster_migrated_total"),
-		cDrainShed: reg.Counter("cluster_drain_shed_total"),
-	}
+	a := &autoscaler{cfg: r, chips: chips, slots: make([]chipSlot, chips), nextTick: r.IntervalS}
 	for i := 0; i < r.Initial; i++ {
 		a.slots[i].state = slotReady
-		a.fleet.Note(0, i, obs.FleetBoot)
-		a.fleet.Note(0, i, obs.FleetReady)
 	}
 	return a
 }
@@ -321,9 +303,6 @@ func (a *autoscaler) bootOne(t float64) int {
 		if s.state == slotOff && t >= s.retireAt {
 			s.state = slotBooting
 			s.readyAt = t + a.cfg.BootS
-			a.fleet.Note(t, i, obs.FleetBoot)
-			a.fleet.Note(s.readyAt, i, obs.FleetReady)
-			a.cUp.Inc()
 			return i
 		}
 	}
@@ -372,8 +351,9 @@ func (r *run) tick(T float64) {
 		if c < 0 {
 			break
 		}
-		if r.trace != nil {
-			r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvScaleUp, Unit: c})
+		if r.fleet != nil { // always, on an autoscaled run
+			r.emit(event{kind: evBoot, time: T, chip: int32(c)})
+			r.emit(event{kind: evReady, time: a.slots[c].readyAt, chip: int32(c)})
 		}
 		eff++
 	}
@@ -396,12 +376,10 @@ func (r *run) tick(T float64) {
 // of them is estimated done; queued groups migrate to the least-loaded
 // routable chip, or shed as ShedDrain when none remains.
 func (r *run) drain(c int, T float64) {
-	a, s := r.asc, &r.asc.slots[c]
+	s := &r.asc.slots[c]
 	s.state = slotDraining
-	a.cDrains.Inc()
-	a.fleet.Note(T, c, obs.FleetDrain)
-	if r.trace != nil {
-		r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvDrain, Unit: c})
+	if r.fleet != nil {
+		r.emit(event{kind: evDrain, time: T, chip: int32(c)})
 	}
 	// Skip groups already estimated finished, then keep the in-flight
 	// prefix: estimated start and end are both monotone along pend.
@@ -422,25 +400,16 @@ func (r *run) drain(c int, T float64) {
 	// slice, so taking them off keeps per-chip positions dense.
 	for _, di := range pend[i:] {
 		d := r.dispatches[di]
-		members := r.groupMembers(&d)
 		r.out.Dispatched[c]--
 		r.chips[c].groups--
 		target := r.leastWork(T, c)
 		if target < 0 {
 			r.dispatches[di].chip = -1 // tombstone: shed during drain
 			r.out.Batches--
-			r.membersTotal -= len(members)
-			r.out.ShedDrain += len(members)
-			for _, m := range members {
-				a.cDrainShed.Inc()
-				if r.trace != nil {
-					r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvShed, Task: r.reqs[m].ID, Model: r.reqs[m].Model})
-				}
-				if r.led != nil {
-					r.led.Reopen(m, obs.PhaseDrainMigrate)
-					r.led.Close(m, T, obs.CauseShedDrain)
-					r.link(m, -1, -1)
-				}
+			r.membersTotal -= int(d.n)
+			r.out.ShedDrain += int(d.n)
+			if r.observed {
+				r.emit(event{kind: evShed, cause: obs.CauseShedDrain, time: T, first: d.first, n: d.n})
 			}
 			continue
 		}
@@ -448,26 +417,16 @@ func (r *run) drain(c int, T float64) {
 		nd.chip, nd.at, nd.qos = target, T, d.deadline-T
 		pos := r.place(nd)
 		r.dispatches[di].chip = -2 // migrated away: the new record serves its members
-		r.out.Migrated += len(members)
-		a.cMigrated.Inc()
-		if r.trace != nil {
-			leader := &r.reqs[members[0]]
-			r.front.b = append(r.front.b, sim.Event{Time: T, Kind: sim.EvMigrate, Task: leader.ID, Model: leader.Model, Unit: target, Depth: c})
-		}
-		if r.led != nil {
-			for _, m := range members {
-				r.led.Reopen(m, obs.PhaseDrainMigrate)
-				r.led.Close(m, T, obs.CauseDispatched)
-				r.link(m, target, pos)
-			}
+		r.out.Migrated += int(d.n)
+		if r.observed {
+			r.emit(event{kind: evMigrate, time: T, at: T, first: d.first, n: d.n,
+				chip: int32(target), pos: int32(pos), from: int32(c)})
 		}
 	}
 	s.pend = pend[:0]
 	s.retireAt = retire
 	r.chips[c].busyUntil = retire
-	a.fleet.Note(retire, c, obs.FleetRetire)
-	a.cDown.Inc()
-	if r.trace != nil {
-		r.front.c = append(r.front.c, sim.Event{Time: retire, Kind: sim.EvScaleDown, Unit: c})
+	if r.fleet != nil {
+		r.emit(event{kind: evRetire, time: retire, chip: int32(c)})
 	}
 }

@@ -102,7 +102,7 @@ func TestScriptController(t *testing.T) {
 // ready slot with the least backlog, the highest index on ties (so the
 // newest spare retires first), never a slot that is not ready.
 func TestDrainCandidateTiesToHighestIndex(t *testing.T) {
-	a := newAutoscaler(&Autoscale{Min: 1, Initial: 3, IntervalS: 1}, 4, nil)
+	a := newAutoscaler(&Autoscale{Min: 1, Initial: 3, IntervalS: 1}, 4)
 	chips := make([]chip, 4)
 	if got := a.drainCandidate(0, chips); got != 2 {
 		t.Errorf("idle ready slots 0-2: pick %d, want 2", got)

@@ -104,8 +104,7 @@ type Config struct {
 	// Attrib enables SLA root-cause attribution (DESIGN.md §14): a
 	// front-door phase ledger over the input stream, a per-chip ledger
 	// and occupancy accountant on every node, and the chip/position
-	// links joining them, exposed on Outcome.Attrib. Off by default;
-	// the stamp sites cost only untaken branches when disabled.
+	// links joining them, exposed on Outcome.Attrib. Off by default.
 	Attrib bool
 }
 
@@ -278,8 +277,6 @@ type chip struct {
 	// which is also the next group's position in its request slice.
 	busyUntil float64
 	groups    int
-	dispatch  *obs.Counter
-	track     string // backlog counter track name, set only with a tracer
 }
 
 // backlog is the chip's estimated outstanding work at instant t.
@@ -365,24 +362,9 @@ type columns struct {
 	models           []model // interned in first-admit order
 }
 
-// frontEvents holds the front-door trace in three runs: a holds the
-// stage-1 arrival and shed events, b the dispatch-time events, each
-// appended in time order (see exportFront for the one exception), and c
-// the future-dated scale-down events of an autoscaled run.
-type frontEvents struct {
-	a, b, c []sim.Event
-}
-
-// counters are the front door's registry handles, nil without an
-// observer.
-type counters struct {
-	requests, admShed, unroutable, batches *obs.Counter
-	batchSize                              *obs.Histogram
-}
-
 // run is the state of one cluster.Run: the input columns, admission and
 // batching state, per-chip routing state, the dispatch records, the
-// outcome and the sink handles. Each stage is one method. Run takes the
+// outcome and the views. Each stage is one method. Run takes the
 // state from runPool, so back-to-back runs (sweeps, benchmarks) reuse its
 // large buffers instead of paying a large-allocation zeroing tax per run.
 // Every buffer is appended from empty or fully rewritten before it is
@@ -416,13 +398,10 @@ type run struct {
 	membersTotal int       // members over all live dispatch groups
 	errs         []error   // per-chip simulation errors
 
-	// Sinks. Nil handles cost one untaken branch per probe.
-	trace  *sim.Trace
-	tracer *obs.TraceBuilder
-	reg    *obs.Registry
-	c      counters
-	led    *obs.Ledger
-	front  frontEvents
+	// observed guards every per-request emit: a Trace, Obs or Attrib is
+	// attached.
+	observed bool
+	views
 }
 
 var runPool = sync.Pool{New: func() any { return new(run) }}
@@ -434,6 +413,8 @@ var runPool = sync.Pool{New: func() any { return new(run) }}
 func (r *run) release() {
 	clear(r.chips)
 	clear(r.errs)
+	clear(r.perChip)
+	clear(r.latHists)
 	*r = run{
 		col: columns{
 			works: r.col.works[:0], arrs: r.col.arrs[:0], dls: r.col.dls[:0],
@@ -446,7 +427,10 @@ func (r *run) release() {
 		ends:       r.ends[:0],
 		arena:      r.arena[:0],
 		errs:       r.errs[:0],
-		front:      frontEvents{a: r.front.a[:0], b: r.front.b[:0]},
+		views: views{
+			front:   frontEvents{a: r.front.a[:0], b: r.front.b[:0]},
+			perChip: r.perChip[:0], latHists: r.latHists,
+		},
 	}
 }
 
@@ -509,15 +493,13 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		return nil, err
 	}
 	out := r.merge()
-	if r.trace != nil {
-		r.exportTrace()
-	}
+	r.finish(out)
 	return out, nil
 }
 
 // start binds the run to its configuration: per-chip health timelines,
-// batching parameters, sink handles, the outcome, the autoscaler, and
-// the one pass over the input that fills the stream's columns.
+// batching parameters, the autoscaler, the outcome, the views, and the
+// one pass over the input that fills the stream's columns.
 //
 //perf:cold per-run setup: runs once before the admit walk
 func (r *run) start() error {
@@ -543,25 +525,8 @@ func (r *run) start() error {
 			}
 		}
 	}
-	r.reg, r.tracer, r.trace = cfg.Obs.Registry(), cfg.Obs.Tracer(), cfg.Trace
-	r.c = counters{
-		requests:   r.reg.Counter("cluster_requests_total"),
-		admShed:    r.reg.Counter("cluster_admission_shed_total"),
-		unroutable: r.reg.Counter("cluster_unroutable_shed_total"),
-		batches:    r.reg.Counter("cluster_batches_total"),
-		batchSize:  r.reg.Histogram("cluster_batch_size", []float64{1, 2, 4, 8, 16, 32}),
-	}
-	for i := range r.chips {
-		c := &r.chips[i]
-		if r.reg != nil {
-			c.dispatch = r.reg.Counter("cluster_dispatch_total", obs.L("chip", fmt.Sprintf("%02d", i)))
-		}
-		if r.tracer != nil {
-			c.track = fmt.Sprintf("chip %02d", i)
-		}
-	}
 	if cfg.Scale != nil {
-		r.asc = newAutoscaler(cfg.Scale, cfg.Chips, r.reg)
+		r.asc = newAutoscaler(cfg.Scale, cfg.Chips)
 	}
 
 	results := make([]ChipResult, cfg.Chips)
@@ -574,18 +539,7 @@ func (r *run) start() error {
 	for i := range results {
 		r.out.PerChip[i] = &results[i]
 	}
-	if r.asc != nil {
-		r.out.Fleet = r.asc.fleet
-	}
-	// Attribution (DESIGN.md §14): a front-door ledger indexed like the
-	// input plus the chip/position links resolved at dispatch.
-	if cfg.Attrib {
-		a := &Attribution{Front: obs.NewLedger(n), Chip: make([]int32, n), Pos: make([]int32, n)}
-		for i := range a.Chip {
-			a.Chip[i], a.Pos[i] = -1, -1
-		}
-		r.out.Attrib, r.led = a, a.Front
-	}
+	r.attach()
 
 	// One pass over the input extracts everything the later stages need
 	// from it: the admission order, the work multipliers, flat copies of
@@ -647,9 +601,6 @@ func (r *run) start() error {
 	if r.asc != nil {
 		r.ends = grow(r.ends, groups)
 	}
-	if r.trace != nil {
-		r.front.a, r.front.b = grow(r.front.a, 2*n), grow(r.front.b, 2*n)
-	}
 	return nil
 }
 
@@ -663,34 +614,23 @@ func (r *run) admit() {
 			idx = r.perm[k]
 		}
 		q := &r.reqs[idx]
-		if r.trace != nil {
-			r.front.a = append(r.front.a, sim.Event{Time: q.Arrival, Kind: sim.EvArrival, Task: q.ID, Model: q.Model})
-		}
-		r.c.requests.Inc()
-		if r.led != nil {
-			r.led.Open(idx, q.Arrival, obs.PhaseAdmitWait)
-		}
 		// With no admission control configured the answer is always
 		// (arrival, true); the nil check saves a call per request.
 		at, ok := q.Arrival, true
 		if r.adm != nil {
 			at, ok = r.adm.admit(q.Level, q.Arrival)
 		}
-		if !ok {
-			if r.trace != nil {
-				r.front.a = append(r.front.a, sim.Event{Time: q.Arrival, Kind: sim.EvShed, Task: q.ID, Model: q.Model})
+		if r.observed {
+			r.emit(event{kind: evArrival, time: q.Arrival, req: int32(idx)})
+			if ok {
+				r.emit(event{kind: evGrant, time: at, req: int32(idx)})
+			} else {
+				r.emit(event{kind: evShed, cause: obs.CauseShedAdmission, time: q.Arrival, req: int32(idx)})
 			}
-			r.c.admShed.Inc()
-			r.out.ShedFront++
-			if r.led != nil {
-				r.led.Close(idx, q.Arrival, obs.CauseShedAdmission)
-			}
-			continue
 		}
-		if r.led != nil {
-			// Admission grant: [arrival, at] was admit-wait, [at, dispatch]
-			// is batch-wait (zero-length when batching is off).
-			r.led.Mark(idx, at, obs.PhaseBatchWait)
+		if !ok {
+			r.out.ShedFront++
+			continue
 		}
 		r.admits = append(r.admits, admitted{at: at, idx: int32(idx), model: int32(r.intern(q.Model))})
 	}
@@ -814,7 +754,7 @@ func (r *run) closeWindow(b *openBatch, tD float64) {
 }
 
 // dispatch merges one group — arena[first:first+k], all of model — into
-// a single chip request at instant tD, routes it and stamps it: the
+// a single chip request at instant tD and routes it: the
 // merged request takes the tightest deadline and highest priority of its
 // members, and a fused batch of k costs 1 + α·(k−1) single inferences.
 func (r *run) dispatch(tD float64, first, k, model int) {
@@ -839,55 +779,29 @@ func (r *run) dispatch(tD float64, first, k, model int) {
 			work = mw
 		}
 	}
-	if r.batching {
-		if r.trace != nil {
-			r.front.b = append(r.front.b, sim.Event{Time: tD, Kind: sim.EvBatch, Task: leader.ID, Model: leader.Model, Alloc: k})
-		}
-		r.c.batches.Inc()
-		r.c.batchSize.Observe(float64(k))
-		if r.tracer != nil && k > 1 {
-			r.tracer.Span("cluster/batches", fmt.Sprintf("%s x%d", leader.Model, k),
-				leader.Arrival, tD, obs.Str("model", leader.Model), obs.Num("size", float64(k)))
-		}
+	if r.batching && r.observed {
+		r.emit(event{kind: evBatch, time: tD, first: int32(first), n: int32(k)})
 	}
 	c := r.route(tD, leader.Model)
 	if c < 0 {
-		for _, m := range members {
-			if r.trace != nil {
-				r.front.b = append(r.front.b, sim.Event{Time: tD, Kind: sim.EvShed, Task: r.reqs[m].ID, Model: r.reqs[m].Model})
-			}
-			r.c.unroutable.Inc()
-			r.out.ShedFront++
-			if r.led != nil {
-				r.led.Close(m, tD, obs.CauseShedUnroutable)
-			}
+		if r.observed {
+			r.emit(event{kind: evShed, cause: obs.CauseShedUnroutable, time: tD, first: int32(first), n: int32(k)})
 		}
+		r.out.ShedFront += k
 		return
 	}
-	if r.trace != nil {
-		r.front.b = append(r.front.b, sim.Event{Time: tD, Kind: sim.EvDispatch, Task: leader.ID, Model: leader.Model, Unit: c})
-	}
-	r.chips[c].dispatch.Inc()
 	pos := r.place(dispatchRec{
 		chip: c, first: int32(first), n: int32(k), cost: r.col.models[model].iso * mw,
 		at: at, deadline: deadline, qos: qos, prio: prio, work: work,
 	})
-	if r.tracer != nil {
-		r.tracer.Counter("cluster/backlog", r.chips[c].track, tD, r.chips[c].busyUntil-tD)
+	if r.observed {
+		r.emit(event{kind: evDispatch, time: tD, at: at, backlog: r.chips[c].busyUntil - tD,
+			first: int32(first), n: int32(k), chip: int32(c), pos: int32(pos)})
 	}
 	r.out.Batches++
 	r.membersTotal += k
 	if k > 1 {
 		r.out.BatchedReqs += k
-	}
-	if r.led != nil {
-		// Hand-off: each member's front record closes at the merged
-		// arrival (the chip record's Open instant, bit-exact), and the
-		// links remember which chip record continues it.
-		for _, m := range members {
-			r.led.Close(m, at, obs.CauseDispatched)
-			r.link(m, c, pos)
-		}
 	}
 }
 
@@ -908,18 +822,6 @@ func (r *run) place(d dispatchRec) int {
 	}
 	r.dispatches = append(r.dispatches, d)
 	return d.pos
-}
-
-// link records that request m continues as record pos of chip c's
-// ledger; (-1, -1) marks a request that left the chips.
-func (r *run) link(m, c, pos int) {
-	a := r.out.Attrib
-	a.Chip[m], a.Pos[m] = int32(c), int32(pos)
-}
-
-// groupMembers returns the input indices of a dispatch group.
-func (r *run) groupMembers(d *dispatchRec) []int {
-	return r.arena[d.first : d.first+d.n]
 }
 
 // layout is phase two of dispatch: it lays the routed groups out per
@@ -1002,37 +904,24 @@ func (r *run) runChip(i int) {
 }
 
 // merge is stage 5: it fans chip completions back out onto the original
-// stream and totals the outcome, which it returns. The latency histogram
-// handles are interned per model, off the per-request path.
+// stream and totals the outcome, which it returns.
 func (r *run) merge() *Outcome {
 	out := r.out
-	var latHists map[string]*obs.Histogram
-	var durBounds []float64
-	if r.reg != nil {
-		latHists = make(map[string]*obs.Histogram, len(r.col.models))
-		durBounds = obs.DurationBuckets()
-	}
 	for i := range r.dispatches {
 		d := &r.dispatches[i]
 		if d.chip < 0 {
 			continue // drain tombstone or migrated-away original
 		}
 		fin := out.PerChip[d.chip].Outcome.Finishes[d.pos]
-		for _, m := range r.groupMembers(d) {
-			q := &r.reqs[m]
+		for _, m := range r.members(d.first, d.n) {
 			if fin >= 0 {
 				out.Finishes[m] = fin
 				out.Latency[m] = fin - r.col.arrs[m]
 				out.Completed++
-				if r.reg != nil {
-					h := latHists[q.Model]
-					if h == nil {
-						h = r.reg.Histogram("cluster_latency_seconds", durBounds, obs.L("model", q.Model))
-						latHists[q.Model] = h
-					}
-					h.Observe(out.Latency[m])
+				if r.observed {
+					r.emit(event{kind: evDone, time: fin, req: int32(m)})
 				}
-			} else if _, ok := r.cfg.System.Programs[q.Model]; !ok {
+			} else if _, ok := r.cfg.System.Programs[r.reqs[m].Model]; !ok {
 				out.Rejected++
 			} else {
 				out.ShedChips++
@@ -1061,55 +950,3 @@ func (r *run) merge() *Outcome {
 	out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcomeFlat(r.col.doms, r.col.domNames, r.col.dls, out.Finishes)
 	return out
 }
-
-// exportTrace appends the front-door events to Config.Trace. The
-// future-dated scale-down events of an autoscaled run are sorted and
-// merged into the dispatch-time run first, so exportFront sees two runs
-// again.
-func (r *run) exportTrace() {
-	b, c := r.front.b, r.front.c
-	if len(c) > 0 {
-		slices.SortStableFunc(c, eventBefore)
-		b = mergeEvents(make([]sim.Event, 0, len(b)+len(c)), b, c)
-	}
-	exportFront(r.trace, r.front.a, b)
-}
-
-// exportFront appends the two front-door event runs to the trace in
-// stable time order. Stage 1 walks arrivals in order, and dispatch
-// instants almost never move backwards, so a two-pointer merge that
-// prefers run a on ties reproduces exactly what sort.SliceStable over the
-// concatenation gives. The exception: flush closes a window due within
-// simtime.Eps of an admit at the window's own close instant, which can
-// fall just after that admit's max-batch dispatch. A run that is not in
-// time order takes the stable sort instead.
-func exportFront(tr *sim.Trace, a, b []sim.Event) {
-	if !slices.IsSortedFunc(a, eventBefore) || !slices.IsSortedFunc(b, eventBefore) {
-		all := append(append(make([]sim.Event, 0, len(a)+len(b)), a...), b...)
-		sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
-		tr.Events = append(tr.Events, all...)
-		return
-	}
-	tr.Reserve(len(a) + len(b))
-	tr.Events = mergeEvents(tr.Events, a, b)
-}
-
-// mergeEvents appends the stable two-pointer merge of the time-ordered
-// runs a and b to dst, a first on ties.
-func mergeEvents(dst, a, b []sim.Event) []sim.Event {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Time <= b[j].Time {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
-// eventBefore orders trace events by time.
-func eventBefore(x, y sim.Event) int { return cmp.Compare(x.Time, y.Time) }

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"planaria/internal/fault"
 	"planaria/internal/metrics"
+	"planaria/internal/obs"
 	"planaria/internal/sim"
 	"planaria/internal/workload"
 )
@@ -63,7 +66,8 @@ func fuzzStream(data []byte, iso float64) []workload.Request {
 // chips, the balancing policy, the batch window and max batch, and
 // optionally a token bucket on one QoS level, a transient outage of
 // every pod of chip 0, a Script autoscale that drains down to one chip
-// and books the fleet back out, the front-door trace and attribution.
+// and books the fleet back out, the front-door trace, attribution and
+// an observer.
 func fuzzConfig(sys metrics.System, setup uint32, iso float64) Config {
 	bits := func(n uint32) uint32 {
 		v := setup % n
@@ -98,7 +102,72 @@ func fuzzConfig(sys metrics.System, setup uint32, iso float64) Config {
 		cfg.Trace = &sim.Trace{}
 	}
 	cfg.Attrib = bits(2) == 1
+	if bits(2) == 1 {
+		cfg.Obs = obs.New()
+	}
 	return cfg
+}
+
+// checkFront asserts the views a run folded from its front-door event
+// stream: the registry counters that equal an Outcome tally or sum to
+// one, a valid trace and fleet log, and, when traced, one scale-up,
+// drain and scale-down trace event per scale-up boot, drain and retire
+// of the fleet log.
+func checkFront(t *testing.T, cfg Config, reqs []workload.Request, out *Outcome) {
+	t.Helper()
+	if cfg.Obs != nil {
+		got := map[string]float64{}
+		for _, s := range cfg.Obs.Registry().Snapshot().Series {
+			got[s.Name] += s.Value
+		}
+		if n := got["cluster_requests_total"]; n != float64(len(reqs)) {
+			t.Fatalf("cluster_requests_total = %v for %d requests", n, len(reqs))
+		}
+		if shed := got["cluster_admission_shed_total"] + got["cluster_unroutable_shed_total"]; shed != float64(out.ShedFront) {
+			t.Fatalf("admission + unroutable shed counters = %v, ShedFront %d", shed, out.ShedFront)
+		}
+		if shed := got["cluster_drain_shed_total"]; shed != float64(out.ShedDrain) {
+			t.Fatalf("cluster_drain_shed_total = %v, ShedDrain %d", shed, out.ShedDrain)
+		}
+	}
+	if err := out.Fleet.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Trace == nil {
+		return
+	}
+	if err := cfg.Trace.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	type lifecycle struct {
+		kind sim.EventKind
+		chip int
+		at   float64
+	}
+	var traced, logged []lifecycle
+	for _, e := range cfg.Trace.Events {
+		switch e.Kind {
+		case sim.EvScaleUp, sim.EvDrain, sim.EvScaleDown:
+			traced = append(traced, lifecycle{e.Kind, e.Unit, e.Time})
+		}
+	}
+	kinds := map[obs.FleetEventKind]sim.EventKind{
+		obs.FleetBoot: sim.EvScaleUp, obs.FleetDrain: sim.EvDrain, obs.FleetRetire: sim.EvScaleDown,
+	}
+	for _, e := range out.Fleet.Events() {
+		// Control ticks start one interval in, so a boot at 0 is initial.
+		if k, ok := kinds[e.Kind]; ok && (e.Kind != obs.FleetBoot || e.Time > 0) {
+			logged = append(logged, lifecycle{k, e.Chip, e.Time})
+		}
+	}
+	order := func(a, b lifecycle) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.chip, b.chip), cmp.Compare(a.kind, b.kind))
+	}
+	slices.SortFunc(traced, order)
+	slices.SortFunc(logged, order)
+	if !slices.Equal(traced, logged) {
+		t.Fatalf("trace lifecycle events %v, fleet log %v", traced, logged)
+	}
 }
 
 // FuzzClusterRun drives cluster.Run with small arbitrary streams —
@@ -107,8 +176,9 @@ func fuzzConfig(sys metrics.System, setup uint32, iso float64) Config {
 // cluster shapes, policies, batching, admission, faults and autoscaling.
 // Run must not panic, must fail exactly when workload.Validate rejects
 // the stream, and on success must account for every request exactly
-// once, finish none before its arrival, and close every front-door
-// attribution record.
+// once, finish none before its arrival, close every front-door
+// attribution record, and fold views that agree with the outcome
+// (checkFront).
 func FuzzClusterRun(f *testing.F) {
 	sys := spatialSystem(f)
 	iso := sys.Cfg.Seconds(sys.Programs["toy-a"].Table(16).TotalCycles)
@@ -116,6 +186,14 @@ func FuzzClusterRun(f *testing.F) {
 	f.Add(uint32(12345), []byte{1, 3, 48, 32, 16, 21, 3, 16, 32, 0, 6, 7, 16, 16, 0, 9})
 	f.Add(uint32(987654), []byte{0, 1, 12, 16, 0, 1, 2, 13, 16, 15, 1})
 	f.Add(uint32(1<<20-1), []byte{0, 0, 0, 64, 16, 17, 1, 0, 64, 16, 9, 2, 16, 64, 16, 25, 3, 32, 64, 16, 1})
+	// Three chips drained to one, migrating queued work, and booted back
+	// out, with the trace, attribution and an observer attached.
+	f.Add(uint32(2165), []byte{0, 0, 0, 240, 64, 1, 1, 0, 240, 64, 1, 2, 0, 240, 64, 1, 3, 0, 240, 64, 1,
+		4, 0, 240, 64, 1, 5, 0, 240, 64, 1, 6, 64, 240, 16, 1, 7, 96, 240, 16, 1})
+	// One chip behind a QoS-H token bucket, dead at first: admission and
+	// unroutable sheds, traced and observed.
+	f.Add(uint32(306540), []byte{0, 0, 0, 64, 16, 17, 1, 0, 64, 16, 17, 2, 0, 64, 16, 17, 3, 0, 64, 16, 17,
+		4, 32, 64, 16, 1, 5, 112, 64, 16, 1})
 	f.Fuzz(func(t *testing.T, setup uint32, data []byte) {
 		reqs := fuzzStream(data, iso)
 		if len(reqs) == 0 {
@@ -146,5 +224,6 @@ func FuzzClusterRun(f *testing.F) {
 				}
 			}
 		}
+		checkFront(t, cfg, reqs, out)
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"planaria/internal/arch"
-	"planaria/internal/compiler"
 	"planaria/internal/dnn"
 	"planaria/internal/energy"
 	"planaria/internal/metrics"
@@ -254,34 +253,15 @@ func (s *Suite) PenaltySensitivity(sc workload.Scenario, lvl workload.QoSLevel) 
 	scales := []float64{0.001, 1, 10, 100}
 	rows := make([]PenaltyRow, 0, len(scales))
 	for _, scale := range scales {
-		qps, err := penaltyThroughput(s.Planaria.Cfg, s.Planaria.Programs,
-			s.Planaria.Params, s.Opt, sc, lvl, scale)
+		sys := s.Planaria
+		sys.PenaltyScale = scale
+		qps, err := metrics.Throughput(sys, sc, lvl, s.Opt)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, PenaltyRow{Scale: scale, QPS: qps})
 	}
 	return rows, nil
-}
-
-// penaltyThroughput is the throughput search over Algorithm 1 nodes
-// carrying a penalty scale.
-func penaltyThroughput(cfg arch.Config, progs map[string]*compiler.Program, params energy.Params,
-	opt metrics.Options, sc workload.Scenario, lvl workload.QoSLevel, scale float64) (float64, error) {
-	return metrics.MaxQPS(func(qps float64) (bool, error) {
-		return metrics.Majority(opt.Instances, func(inst int) (bool, error) {
-			reqs, err := workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
-			if err != nil {
-				return false, err
-			}
-			node := &sim.Node{
-				Cfg: cfg, Policy: sched.NewSpatial(cfg), Programs: progs,
-				Params: params, PenaltyScale: scale,
-			}
-			out, err := node.Run(reqs)
-			return err == nil && out.MeetsSLA, err
-		})
-	})
 }
 
 // FormatPenaltySensitivity renders the sweep.

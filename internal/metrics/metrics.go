@@ -29,10 +29,13 @@ type System struct {
 	// Programs maps model name → compiled program for Cfg.
 	Programs map[string]*compiler.Program
 	Params   energy.Params
+	// PenaltyScale is the re-allocation penalty multiplier of the nodes
+	// this package simulates (sim.Node.PenaltyScale; 0 means 1).
+	PenaltyScale float64
 }
 
 func (s System) node() *sim.Node {
-	return &sim.Node{Cfg: s.Cfg, Policy: s.NewPolicy(), Programs: s.Programs, Params: s.Params}
+	return &sim.Node{Cfg: s.Cfg, Policy: s.NewPolicy(), Programs: s.Programs, Params: s.Params, PenaltyScale: s.PenaltyScale}
 }
 
 // Options controls evaluation cost/precision.
