@@ -92,6 +92,11 @@ func TestEnumerateShapesSuperset(t *testing.T) {
 	}
 }
 
+// TestEnumerateShapesPartial checks every allocation's shape list: each
+// shape valid and within the allocation, every (clusters, H, W) with
+// power-of-two extents that fits listed, in the documented order —
+// largest cluster count first, then by H, then W — which the shape
+// search's tie-break depends on.
 func TestEnumerateShapesPartial(t *testing.T) {
 	c := Planaria()
 	for s := 1; s <= 16; s++ {
@@ -99,12 +104,30 @@ func TestEnumerateShapesPartial(t *testing.T) {
 		if len(shapes) == 0 {
 			t.Fatalf("no shapes for %d subarrays", s)
 		}
-		for _, sh := range shapes {
+		fits := 0
+		for h := 1; h <= 16; h *= 2 {
+			for w := 1; w <= 16; w *= 2 {
+				for g := 1; g*h*w <= s; g++ {
+					fits++
+				}
+			}
+		}
+		if len(shapes) != fits {
+			t.Errorf("s=%d: %d shapes, want %d", s, len(shapes), fits)
+		}
+		for i, sh := range shapes {
 			if !sh.Valid(c) {
 				t.Errorf("s=%d: invalid shape %v", s, sh)
 			}
 			if sh.Subarrays() > s {
 				t.Errorf("s=%d: shape %v uses %d subarrays", s, sh, sh.Subarrays())
+			}
+			if i == 0 {
+				continue
+			}
+			p := shapes[i-1]
+			if p.Clusters < sh.Clusters || p.Clusters == sh.Clusters && (p.H > sh.H || p.H == sh.H && p.W >= sh.W) {
+				t.Errorf("s=%d: shape %v listed after %v", s, sh, p)
 			}
 		}
 	}

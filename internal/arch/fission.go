@@ -2,7 +2,6 @@ package arch
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Shape describes one fission configuration of a logical accelerator:
@@ -77,26 +76,22 @@ func EnumerateShapes(c Config, s int) []Shape {
 	if s < 1 {
 		return nil
 	}
-	var shapes []Shape
-	for h := 1; h <= n; h *= 2 {
-		for w := 1; w <= n; w *= 2 {
-			if h*w > s {
-				continue
-			}
-			for g := 1; g <= s/(h*w); g++ {
+	// The shape search calls this once per layer, so it allocates once:
+	// it counts the shapes, then emits them already in order.
+	count := 0
+	for h := 1; h <= s; h *= 2 {
+		for w := 1; h*w <= s; w *= 2 {
+			count += s / (h * w)
+		}
+	}
+	shapes := make([]Shape, 0, count)
+	for g := s; g >= 1; g-- {
+		for h := 1; g*h <= s; h *= 2 {
+			for w := 1; g*h*w <= s; w *= 2 {
 				shapes = append(shapes, Shape{Clusters: g, H: h, W: w})
 			}
 		}
 	}
-	sort.Slice(shapes, func(i, j int) bool {
-		if shapes[i].Clusters != shapes[j].Clusters {
-			return shapes[i].Clusters > shapes[j].Clusters
-		}
-		if shapes[i].H != shapes[j].H {
-			return shapes[i].H < shapes[j].H
-		}
-		return shapes[i].W < shapes[j].W
-	})
 	return shapes
 }
 

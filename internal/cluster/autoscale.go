@@ -414,12 +414,12 @@ func (r *run) drain(c int, T float64) {
 			continue
 		}
 		nd := d
-		nd.chip, nd.at, nd.qos = target, T, d.deadline-T
+		nd.chip, nd.at, nd.merged = target, T, true
 		pos := r.place(nd)
 		r.dispatches[di].chip = -2 // migrated away: the new record serves its members
 		r.out.Migrated += int(d.n)
 		if r.observed {
-			r.emit(event{kind: evMigrate, time: T, at: T, first: d.first, n: d.n,
+			r.emit(event{kind: evMigrate, time: T, first: d.first, n: d.n,
 				chip: int32(target), pos: int32(pos), from: int32(c)})
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"planaria/internal/fault"
 	"planaria/internal/metrics"
@@ -287,9 +288,9 @@ func (c *chip) backlog(t float64) float64 { return max(c.busyUntil-t, 0) }
 // arena holding the input indices whose completions fan out from it. The
 // merged request's adjusted fields are captured as scalars at routing
 // time so the layout phase can rebuild it straight into the escaping
-// backing array — a leader copy plus five scalar writes. The record holds
-// no pointers, so the dispatch buffer costs the garbage collector
-// nothing to scan.
+// backing array — a leader copy, plus five scalar writes when merged is
+// set. The record holds no pointers, so the dispatch buffer costs the
+// garbage collector nothing to scan.
 // On autoscaled runs chip can also be a tombstone: -1 marks a group shed
 // during a drain (ShedDrain), -2 a group migrated away (a later record
 // serves its members); both are skipped by the layout and merge phases.
@@ -297,17 +298,17 @@ type dispatchRec struct {
 	chip     int
 	pos      int     // position within the chip's request slice
 	first, n int32   // members are arena[first : first+n]
+	prio     int32   // merged Priority (highest member)
+	merged   bool    // the dispatched request differs from its leader's record
 	cost     float64 // estimated service seconds added to the chip's backlog
-	at       float64 // merged Arrival (dispatch time)
+	at       float64 // dispatch instant, the merged Arrival
 	deadline float64 // merged Deadline (tightest member)
-	qos      float64 // deadline - at
-	prio     int     // merged Priority (highest member)
 	work     float64 // merged Work (fused batch cost multiplier)
 }
 
 // openBatch is one in-flight batching window.
 type openBatch struct {
-	model   int // interned model ID (see admitted.model)
+	model   int32 // interned model ID (see columns.mids)
 	closeAt float64
 	members []int
 	closed  bool
@@ -329,37 +330,29 @@ type windows struct {
 	free  []*openBatch
 }
 
-// admitted is one admitted request: its admission instant, its input
-// position, and its interned model ID (position in the run's first-admit
-// model list, captured while the request's cache line is hot so the
-// batching stage never re-gathers through the 96-byte-stride request
-// array). int32 positions keep the record at 16 pointer-free bytes — the
-// admits buffer is the largest piece of pooled state, and at serving
-// scale its footprint is pure memory traffic.
-type admitted struct {
-	at    float64
-	idx   int32
-	model int32
-}
-
-// model is one interned model: its name and its isolated full-chip
-// execution time, the unit of the routing backlog estimate (the same
-// estimate metrics.MinNodes uses).
+// model is one interned model: its name, whether the system has a
+// program for it, and its isolated full-chip execution time, the unit of
+// the routing backlog estimate (the same estimate metrics.MinNodes uses).
 type model struct {
-	name string
-	iso  float64
+	name  string
+	known bool
+	iso   float64
 }
 
 // columns are the per-request fields of the input stream that the later
-// stages read, filled in one pass by start (models is filled as requests
-// are admitted). Later passes then touch a few bytes per request instead
-// of the whole 96-byte record.
+// stages read, filled in start's one pass over the records, which also
+// validates them. Later passes then touch a few bytes per request instead
+// of the whole 96-byte record. ats and ord are filled by admission.
 type columns struct {
-	works, arrs, dls []float64
-	prios            []int32
-	doms             []int32 // domain IDs, indexing domNames
-	domNames         []string
-	models           []model // interned in first-admit order
+	arrs, dls []float64
+	works     []float64 // raw Work: 0 means 1
+	prios     []int32
+	mids      []int32 // model IDs, indexing models
+	doms      []int32 // domain IDs, indexing domNames
+	domNames  []string
+	models    []model   // interned in first-sight order
+	ats       []float64 // admit instants when admission control is on
+	ord       []int32   // backing of run.order
 }
 
 // run is the state of one cluster.Run: the input columns, admission and
@@ -383,12 +376,13 @@ type run struct {
 
 	col          columns
 	firstArrival float64
-	// perm is the admission order: perm[k] is the input position of the
-	// k-th arrival. It is nil when arrivals never decrease, and the
-	// input order is the admission order.
-	perm []int
+	// order is the admission order: order[k] is the input position of the
+	// k-th admitted request. It is nil when every request is admitted in
+	// input order. instants[i] is request i's admit instant: the arrival
+	// column, or admission control's own column.
+	order    []int32
+	instants []float64
 
-	admits       []admitted
 	chips        []chip
 	rrNext       int // round-robin cursor
 	win          windows
@@ -417,10 +411,10 @@ func (r *run) release() {
 	clear(r.latHists)
 	*r = run{
 		col: columns{
-			works: r.col.works[:0], arrs: r.col.arrs[:0], dls: r.col.dls[:0],
-			prios: r.col.prios[:0], doms: r.col.doms[:0], models: r.col.models[:0],
+			arrs: r.col.arrs[:0], dls: r.col.dls[:0], works: r.col.works[:0],
+			prios: r.col.prios[:0], mids: r.col.mids[:0], doms: r.col.doms[:0],
+			models: r.col.models[:0], ats: r.col.ats[:0], ord: r.col.ord[:0],
 		},
-		admits:     r.admits[:0],
 		chips:      r.chips[:0],
 		win:        windows{open: r.win.open[:0], queue: r.win.queue[:0], free: r.win.free},
 		dispatches: r.dispatches[:0],
@@ -465,29 +459,12 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("cluster: no requests")
 	}
-	if err := workload.Validate(reqs); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	pol, err := parsePolicy(cmp.Or(cfg.Policy, "least-work"))
-	if err != nil {
-		return nil, err
-	}
-	adm, err := newAdmissionState(cfg.Admission)
-	if err != nil {
-		return nil, err
-	}
-
 	r := runPool.Get().(*run)
 	defer runPool.Put(r)
 	defer r.release()
-	r.cfg, r.reqs, r.pol, r.adm = cfg, reqs, pol, adm
-	r.chips, r.errs = grow(r.chips, cfg.Chips)[:cfg.Chips], grow(r.errs, cfg.Chips)[:cfg.Chips]
-	if err := r.start(); err != nil {
+	if err := r.frontDoor(cfg, reqs); err != nil {
 		return nil, err
 	}
-	r.admit()
-	r.walk()
-	r.layout()
 	par.PerItem(cfg.Chips, r.runChip)
 	if err := par.FirstError(r.errs); err != nil {
 		return nil, err
@@ -497,14 +474,55 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 	return out, nil
 }
 
-// start binds the run to its configuration: per-chip health timelines,
-// batching parameters, the autoscaler, the outcome, the views, and the
-// one pass over the input that fills the stream's columns.
+// frontDoor binds the run to a validated configuration and a non-empty
+// stream, and runs every stage before the chips: start, admission, the
+// walk and the per-chip layout.
+func (r *run) frontDoor(cfg Config, reqs []workload.Request) error {
+	r.cfg, r.reqs = cfg, reqs
+	r.chips, r.errs = grow(r.chips, cfg.Chips)[:cfg.Chips], grow(r.errs, cfg.Chips)[:cfg.Chips]
+	if err := r.start(); err != nil {
+		return err
+	}
+	r.admit()
+	r.walk()
+	r.layout()
+	return nil
+}
+
+// start binds the run to its input and configuration. Its one pass over
+// the requests validates them and fills the stream's columns; only then
+// come the balancing policy, the admission buckets, the per-chip health
+// timelines, the batching parameters, the autoscaler, and the views, so
+// a malformed request is reported before any configuration error and
+// before any sink sees an event.
 //
 //perf:cold per-run setup: runs once before the admit walk
 func (r *run) start() error {
-	cfg, reqs, n := &r.cfg, r.reqs, len(r.reqs)
+	cfg, n := &r.cfg, len(r.reqs)
 	r.total = cfg.System.Cfg.NumSubarrays()
+	r.out = &Outcome{
+		Finishes:   make([]float64, n),
+		Latency:    make([]float64, n),
+		Dispatched: make([]int, cfg.Chips),
+		PerChip:    make([]*ChipResult, cfg.Chips),
+	}
+	if err := r.scan(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	var err error
+	if r.pol, err = parsePolicy(cmp.Or(cfg.Policy, "least-work")); err != nil {
+		return err
+	}
+	if r.adm, err = newAdmissionState(cfg.Admission); err != nil {
+		return err
+	}
+	for i := range r.chips {
+		if cfg.Faults != nil {
+			if r.chips[i].health, err = healthStepsOf(cfg.Faults[i]); err != nil {
+				return err
+			}
+		}
+	}
 	r.batching = cfg.BatchWindow > 0
 	r.maxBatch = cfg.MaxBatch
 	if r.maxBatch <= 0 {
@@ -516,80 +534,20 @@ func (r *run) start() error {
 	case r.alpha < 0:
 		r.alpha = 0
 	}
-
-	for i := range r.chips {
-		if cfg.Faults != nil {
-			var err error
-			if r.chips[i].health, err = healthStepsOf(cfg.Faults[i]); err != nil {
-				return err
-			}
-		}
-	}
 	if cfg.Scale != nil {
 		r.asc = newAutoscaler(cfg.Scale, cfg.Chips)
 	}
-
 	results := make([]ChipResult, cfg.Chips)
-	r.out = &Outcome{
-		Finishes:   make([]float64, n),
-		Latency:    make([]float64, n),
-		Dispatched: make([]int, cfg.Chips),
-		PerChip:    make([]*ChipResult, cfg.Chips),
-	}
 	for i := range results {
 		r.out.PerChip[i] = &results[i]
 	}
 	r.attach()
 
-	// One pass over the input extracts everything the later stages need
-	// from it: the admission order, the work multipliers, flat copies of
-	// the arrival times, deadlines and priorities (later passes then touch
-	// a few bytes per request instead of the whole record), the earliest
-	// arrival, the domain column of the SLA tally and the
-	// not-yet-completed marker. Domains intern in first-sight order; a
-	// serving mix has a handful.
-	col := &r.col
-	col.works, col.arrs = grow(col.works, n)[:n], grow(col.arrs, n)[:n]
-	col.dls, col.prios, col.doms = grow(col.dls, n)[:n], grow(col.prios, n)[:n], grow(col.doms, n)[:n]
-	col.domNames = make([]string, 0, 8)
-	sorted := true
-	r.firstArrival = math.Inf(1)
-	for i := range reqs {
-		q := &reqs[i]
-		if i > 0 && q.Arrival < reqs[i-1].Arrival {
-			sorted = false
-		}
-		col.arrs[i] = q.Arrival
-		r.firstArrival = min(r.firstArrival, q.Arrival)
-		col.works[i] = 1
-		if q.Work > 0 {
-			col.works[i] = q.Work
-		}
-		col.dls[i], col.prios[i] = q.Deadline, int32(q.Priority)
-		dom := slices.Index(col.domNames, q.Domain)
-		if dom < 0 {
-			dom = len(col.domNames)
-			col.domNames = append(col.domNames, q.Domain)
-		}
-		col.doms[i] = int32(dom)
-		r.out.Finishes[i] = -1
-	}
-	// Stage 1 admits in arrival order, ties by input position. A sorted
-	// stream — the generator's natural order — needs no permutation: the
-	// stable sort would be the identity.
-	if !sorted {
-		r.perm = make([]int, n)
-		for i := range r.perm {
-			r.perm[i] = i
-		}
-		sort.SliceStable(r.perm, func(a, b int) bool { return reqs[r.perm[a]].Arrival < reqs[r.perm[b]].Arrival })
-	}
-
 	// Without batching every admit is its own dispatch group, so the
 	// record count is known; batched runs grow the buffer from its
 	// previous high-water mark. An autoscaled run also appends a record
 	// per group a drain migrates (see drainHeadroom).
-	r.admits, r.arena = grow(r.admits, n), grow(r.arena, n)
+	r.arena = grow(r.arena, n)
 	groups := 0
 	if !r.batching {
 		groups = n
@@ -604,95 +562,188 @@ func (r *run) start() error {
 	return nil
 }
 
-// admit is stage 1: every request, in admission order, passes its QoS
-// level's token bucket (or sheds at the front door) and joins the admits
-// with its admission instant.
-func (r *run) admit() {
-	for k := range r.reqs {
-		idx := k
-		if r.perm != nil {
-			idx = r.perm[k]
+// scan is the one pass over the input records. It validates each with
+// workload.Validate's rules and errors, and fills everything the later
+// stages read: the arrival, deadline, raw work and priority columns, the
+// model and domain IDs, the earliest arrival, the not-yet-completed
+// marker, and the arrival order. Models and domains intern in first-sight
+// order; a serving mix has a handful of each.
+func (r *run) scan() error {
+	reqs, col, n := r.reqs, &r.col, len(r.reqs)
+	col.arrs, col.dls, col.works = grow(col.arrs, n)[:n], grow(col.dls, n)[:n], grow(col.works, n)[:n]
+	col.prios, col.mids, col.doms = grow(col.prios, n)[:n], grow(col.mids, n)[:n], grow(col.doms, n)[:n]
+	col.domNames = make([]string, 0, 8)
+	chk := workload.NewChecker(reqs)
+	sorted, last := true, 0.0
+	r.firstArrival = math.Inf(1)
+	for i := range reqs {
+		if !chk.Clean(i) {
+			if err := chk.Check(i); err != nil {
+				return err
+			}
 		}
-		q := &r.reqs[idx]
-		// With no admission control configured the answer is always
-		// (arrival, true); the nil check saves a call per request.
-		at, ok := q.Arrival, true
+		q := &reqs[i]
+		// A valid arrival is ≥ 0, so last can start at 0.
+		if q.Arrival < last {
+			sorted = false
+		}
+		last = q.Arrival
+		col.arrs[i] = q.Arrival
+		r.firstArrival = min(r.firstArrival, q.Arrival)
+		col.dls[i], col.works[i], col.prios[i] = q.Deadline, q.Work, int32(q.Priority)
+		col.mids[i] = r.intern(q.Model)
+		dom := slices.Index(col.domNames, q.Domain)
+		if dom < 0 {
+			dom = len(col.domNames)
+			col.domNames = append(col.domNames, q.Domain)
+		}
+		col.doms[i] = int32(dom)
+		r.out.Finishes[i] = -1
+	}
+	// Requests arrive in arrival order, ties by input position. A sorted
+	// stream — the generator's natural order — needs no permutation: the
+	// stable sort would be the identity.
+	r.instants = col.arrs
+	if !sorted {
+		col.ord = grow(col.ord, n)[:n]
+		r.order = col.ord
+		for i := range r.order {
+			r.order[i] = int32(i)
+		}
+		slices.SortStableFunc(r.order, func(a, b int32) int { return cmp.Compare(col.arrs[a], col.arrs[b]) })
+	}
+	return nil
+}
+
+// intern returns the ID of the named model, its position in the run's
+// first-sight model list. The handful of models makes a linear scan
+// cheaper than hashing. Requests built from one model list share each
+// name's bytes, so a first scan matches string headers alone: names of
+// one length, such as "SSD-R" and "SSD-M", then cost no byte compare.
+func (r *run) intern(name string) int32 {
+	for i := range r.col.models {
+		if m := r.col.models[i].name; len(m) == len(name) && unsafe.StringData(m) == unsafe.StringData(name) {
+			return int32(i)
+		}
+	}
+	for i := range r.col.models {
+		if r.col.models[i].name == name {
+			return int32(i)
+		}
+	}
+	p, known := r.cfg.System.Programs[name]
+	iso := 0.0
+	if p != nil {
+		iso = r.cfg.System.Cfg.Seconds(p.Table(r.total).TotalCycles)
+	}
+	r.col.models = append(r.col.models, model{name: name, known: known, iso: iso})
+	return int32(len(r.col.models) - 1)
+}
+
+// admit is stage 1: every request, in arrival order, passes its QoS
+// level's token bucket (or sheds at the front door) and is admitted at
+// an instant. Without admission control every request is admitted at its
+// arrival, in arrival order, which scan already recorded, so the loop runs
+// only to emit the arrivals to an attached sink. With admission control
+// the loop writes the admission order and the admit instant column.
+func (r *run) admit() {
+	if r.adm == nil && !r.observed {
+		return
+	}
+	col, n := &r.col, len(r.reqs)
+	arrivals, order := r.order, []int32(nil)
+	if r.adm != nil {
+		// The admitted requests are a subsequence of the arrival order, so
+		// the admission order can overwrite the arrival permutation in place.
+		order = arrivals[:0]
+		if arrivals == nil {
+			col.ord = grow(col.ord, n)
+			order = col.ord
+		}
+		col.ats = grow(col.ats, n)[:n]
+	}
+	for k := range n {
+		i := k
+		if arrivals != nil {
+			i = int(arrivals[k])
+		}
+		t := col.arrs[i]
+		at, ok := t, true
 		if r.adm != nil {
-			at, ok = r.adm.admit(q.Level, q.Arrival)
+			at, ok = r.adm.admit(r.reqs[i].Level, t)
 		}
 		if r.observed {
-			r.emit(event{kind: evArrival, time: q.Arrival, req: int32(idx)})
+			r.emit(event{kind: evArrival, time: t, req: int32(i)})
 			if ok {
-				r.emit(event{kind: evGrant, time: at, req: int32(idx)})
+				r.emit(event{kind: evGrant, time: at, req: int32(i)})
 			} else {
-				r.emit(event{kind: evShed, cause: obs.CauseShedAdmission, time: q.Arrival, req: int32(idx)})
+				r.emit(event{kind: evShed, cause: obs.CauseShedAdmission, time: t, req: int32(i)})
 			}
 		}
 		if !ok {
 			r.out.ShedFront++
 			continue
 		}
-		r.admits = append(r.admits, admitted{at: at, idx: int32(idx), model: int32(r.intern(q.Model))})
+		if r.adm != nil {
+			col.ats[i] = at
+			order = append(order, int32(i))
+		}
+	}
+	if r.adm == nil {
+		return
 	}
 	// Only queueing buckets can reorder admits; the stable re-sort keeps
 	// tied admits in admission order.
-	if !slices.IsSortedFunc(r.admits, admittedBefore) {
-		slices.SortStableFunc(r.admits, admittedBefore)
+	ats := col.ats
+	before := func(a, b int32) int { return cmp.Compare(ats[a], ats[b]) }
+	if !slices.IsSortedFunc(order, before) {
+		slices.SortStableFunc(order, before)
 	}
+	r.order, r.instants = order, ats
 }
 
-// admittedBefore orders admits by admission instant.
-func admittedBefore(a, b admitted) int { return cmp.Compare(a.at, b.at) }
-
-// intern returns the ID of the named model, its position in the run's
-// first-admit model list. The handful of models makes a linear scan with
-// string equality's pointer fast path cheaper than hashing.
-func (r *run) intern(name string) int {
-	for i := range r.col.models {
-		if r.col.models[i].name == name {
-			return i
-		}
-	}
-	iso := 0.0
-	if p := r.cfg.System.Programs[name]; p != nil {
-		iso = r.cfg.System.Cfg.Seconds(p.Table(r.total).TotalCycles)
-	}
-	r.col.models = append(r.col.models, model{name: name, iso: iso})
-	return len(r.col.models) - 1
-}
-
-// walk is stages 2 and 3: one chronological pass over the admits that
-// interleaves autoscale control ticks, batching windows and dispatch.
-// Control instants come first: batch windows close up to the tick, so
-// the controller sees (and drains reassign) exactly the state a real
-// front door would have at that instant.
+// walk is stages 2 and 3: one chronological pass over the admission
+// order that interleaves autoscale control ticks, batching windows and
+// dispatch. Control instants come first: batch windows close up to the
+// tick, so the controller sees (and drains reassign) exactly the state a
+// real front door would have at that instant.
 func (r *run) walk() {
-	for _, a := range r.admits {
+	n := len(r.reqs)
+	if r.order != nil {
+		n = len(r.order)
+	}
+	for k := range n {
+		i := k
+		if r.order != nil {
+			i = int(r.order[k])
+		}
+		at := r.instants[i]
 		if r.asc != nil {
-			for a.at >= r.asc.nextTick {
+			for at >= r.asc.nextTick {
 				tk := r.asc.nextTick
 				r.asc.nextTick += r.asc.cfg.IntervalS
 				r.flush(tk)
 				r.tick(tk)
 			}
-			r.asc.noteWait(a.at - r.col.arrs[a.idx])
+			r.asc.noteWait(at - r.col.arrs[i])
 		}
 		if !r.batching {
-			r.arena = append(r.arena, int(a.idx))
-			r.dispatch(a.at, len(r.arena)-1, 1, int(a.model))
+			r.arena = append(r.arena, i)
+			r.dispatch(at, len(r.arena)-1, 1, r.col.mids[i])
 			continue
 		}
-		r.flush(a.at)
-		r.join(a)
+		r.flush(at)
+		r.join(i, at)
 	}
 	r.flush(math.Inf(1))
 }
 
-// join adds an admit to its model's open batch window, opening one when
-// none is open, and closes the window at once when it reaches MaxBatch.
-// Windows open in admit order, so the FIFO is sorted by close time.
-func (r *run) join(a admitted) {
-	w, m := &r.win, int(a.model)
+// join adds request i, admitted at instant at, to its model's open batch
+// window, opening one when none is open, and closes the window at once
+// when it reaches MaxBatch. Windows open in admit order, so the FIFO is
+// sorted by close time.
+func (r *run) join(i int, at float64) {
+	w, m := &r.win, r.col.mids[i]
 	var b *openBatch
 	for _, o := range w.open {
 		if o.model == m {
@@ -708,13 +759,13 @@ func (r *run) join(a admitted) {
 			//perf:alloc-ok batch-object miss path; steady state recycles via the free list above
 			b = &openBatch{members: make([]int, 0, min(r.maxBatch, 8))}
 		}
-		b.model, b.closeAt, b.closed = m, a.at+r.cfg.BatchWindow, false
+		b.model, b.closeAt, b.closed = m, at+r.cfg.BatchWindow, false
 		w.open = append(w.open, b)
 		w.queue = append(w.queue, b)
 	}
-	b.members = append(b.members, int(a.idx))
+	b.members = append(b.members, i)
 	if len(b.members) >= r.maxBatch {
-		r.closeWindow(b, a.at)
+		r.closeWindow(b, at)
 	}
 }
 
@@ -757,23 +808,26 @@ func (r *run) closeWindow(b *openBatch, tD float64) {
 // a single chip request at instant tD and routes it: the
 // merged request takes the tightest deadline and highest priority of its
 // members, and a fused batch of k costs 1 + α·(k−1) single inferences.
-func (r *run) dispatch(tD float64, first, k, model int) {
+// A lone request dispatched at its arrival goes out as its own record.
+func (r *run) dispatch(tD float64, first, k int, model int32) {
+	col := &r.col
 	members := r.arena[first : first+k]
-	leader := &r.reqs[members[0]]
-	mw := r.col.works[members[0]]
+	l := members[0]
 	// The merged request exists only as scalars here: layout rebuilds the
 	// dispatched Request from the leader plus these values.
-	at, deadline, qos := leader.Arrival, leader.Deadline, leader.QoS
-	prio, work := leader.Priority, leader.Work
-	if k > 1 || tD != leader.Arrival {
-		at = tD
+	deadline, prio, work := col.dls[l], col.prios[l], col.works[l]
+	mw := work
+	if mw == 0 {
+		mw = 1
+	}
+	merged := k > 1 || tD != col.arrs[l]
+	if merged {
 		for _, m := range members[1:] {
-			if d := r.col.dls[m]; d < deadline {
+			if d := col.dls[m]; d < deadline {
 				deadline = d
 			}
-			prio = max(prio, int(r.col.prios[m]))
+			prio = max(prio, col.prios[m])
 		}
-		qos = deadline - tD
 		if k > 1 {
 			mw *= 1 + r.alpha*float64(k-1)
 			work = mw
@@ -782,7 +836,7 @@ func (r *run) dispatch(tD float64, first, k, model int) {
 	if r.batching && r.observed {
 		r.emit(event{kind: evBatch, time: tD, first: int32(first), n: int32(k)})
 	}
-	c := r.route(tD, leader.Model)
+	c := r.route(tD, model)
 	if c < 0 {
 		if r.observed {
 			r.emit(event{kind: evShed, cause: obs.CauseShedUnroutable, time: tD, first: int32(first), n: int32(k)})
@@ -791,11 +845,11 @@ func (r *run) dispatch(tD float64, first, k, model int) {
 		return
 	}
 	pos := r.place(dispatchRec{
-		chip: c, first: int32(first), n: int32(k), cost: r.col.models[model].iso * mw,
-		at: at, deadline: deadline, qos: qos, prio: prio, work: work,
+		chip: c, first: int32(first), n: int32(k), prio: prio, merged: merged,
+		cost: col.models[model].iso * mw, at: tD, deadline: deadline, work: work,
 	})
 	if r.observed {
-		r.emit(event{kind: evDispatch, time: tD, at: at, backlog: r.chips[c].busyUntil - tD,
+		r.emit(event{kind: evDispatch, time: tD, backlog: r.chips[c].busyUntil - tD,
 			first: int32(first), n: int32(k), chip: int32(c), pos: int32(pos)})
 	}
 	r.out.Batches++
@@ -828,10 +882,12 @@ func (r *run) place(d dispatchRec) int {
 // chip. The backing array escapes into ChipResult.Requests, so it is a
 // real allocation — but exactly one, exactly sized. Capacities are capped
 // (three-index slices) so a caller appending to one chip's Requests
-// reallocates instead of clobbering its neighbour. Each merged request is
-// rebuilt in place from its leader plus the scalars its record captured.
-// On autoscaled runs the layout can be smaller than the record count:
-// drain tombstones and migrated-away originals occupy no slot.
+// reallocates instead of clobbering its neighbour. Each dispatched
+// request is its leader's record, with a merged record's fields rewritten
+// from the scalars it captured; layout is the one stage that reads whole
+// records after start's pass. On autoscaled runs the layout can be
+// smaller than the record count: drain tombstones and migrated-away
+// originals occupy no slot.
 func (r *run) layout() {
 	total := 0
 	for i := range r.chips {
@@ -849,8 +905,10 @@ func (r *run) layout() {
 		}
 		m := &r.out.PerChip[d.chip].Requests[d.pos]
 		*m = r.reqs[r.arena[d.first]]
-		m.Arrival, m.Deadline, m.QoS = d.at, d.deadline, d.qos
-		m.Priority, m.Work = d.prio, d.work
+		if d.merged {
+			m.Arrival, m.Deadline, m.QoS = d.at, d.deadline, d.deadline-d.at
+			m.Priority, m.Work = int(d.prio), d.work
+		}
 	}
 }
 
@@ -904,36 +962,37 @@ func (r *run) runChip(i int) {
 }
 
 // merge is stage 5: it fans chip completions back out onto the original
-// stream and totals the outcome, which it returns.
+// stream and totals the outcome, which it returns. A group's members
+// share its model, so a failed group is rejected or shed as a whole.
 func (r *run) merge() *Outcome {
-	out := r.out
+	out, col := r.out, &r.col
+	lastFinish := math.Inf(-1)
 	for i := range r.dispatches {
 		d := &r.dispatches[i]
 		if d.chip < 0 {
 			continue // drain tombstone or migrated-away original
 		}
 		fin := out.PerChip[d.chip].Outcome.Finishes[d.pos]
-		for _, m := range r.members(d.first, d.n) {
-			if fin >= 0 {
+		members := r.members(d.first, d.n)
+		switch {
+		case fin >= 0:
+			lastFinish = max(lastFinish, fin)
+			for _, m := range members {
 				out.Finishes[m] = fin
-				out.Latency[m] = fin - r.col.arrs[m]
-				out.Completed++
+				out.Latency[m] = fin - col.arrs[m]
 				if r.observed {
 					r.emit(event{kind: evDone, time: fin, req: int32(m)})
 				}
-			} else if _, ok := r.cfg.System.Programs[r.reqs[m].Model]; !ok {
-				out.Rejected++
-			} else {
-				out.ShedChips++
 			}
+			out.Completed += len(members)
+		case col.models[col.mids[members[0]]].known:
+			out.ShedChips += len(members)
+		default:
+			out.Rejected += len(members)
 		}
 	}
 	if out.Batches > 0 {
 		out.MeanBatchSize = float64(r.membersTotal) / float64(out.Batches)
-	}
-	lastFinish := math.Inf(-1)
-	for _, fin := range out.Finishes {
-		lastFinish = max(lastFinish, fin)
 	}
 	if lastFinish > r.firstArrival {
 		out.Makespan = lastFinish - r.firstArrival
@@ -947,6 +1006,6 @@ func (r *run) merge() *Outcome {
 		out.Retries += cr.Outcome.Retries
 		out.FaultEvents += cr.Outcome.FaultEvents
 	}
-	out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcomeFlat(r.col.doms, r.col.domNames, r.col.dls, out.Finishes)
+	out.MeetsSLA, out.DeadlineFrac = workload.SLAOutcomeFlat(col.doms, col.domNames, col.dls, out.Finishes)
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"planaria/internal/energy"
 	"planaria/internal/fault"
 	"planaria/internal/metrics"
+	"planaria/internal/obs"
 	"planaria/internal/prema"
 	"planaria/internal/sched"
 	"planaria/internal/sim"
@@ -601,6 +602,41 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 		}
 		if len(tr.Events) != 0 {
 			t.Errorf("%s: %d events recorded before the error", c.name, len(tr.Events))
+		}
+	}
+
+	// A malformed request outranks a bad policy, admission bucket or
+	// fault schedule: each run reports the request, and a clean stream
+	// reports the configuration's own error.
+	badFaults := []*fault.Schedule{nil, {Units: 16, Pods: 4, Events: []fault.Event{{Time: -1, Kind: fault.KindLink}}}}
+	const nanArrival = "cluster: workload: request 2 (ID 2): Arrival NaN is not a finite time ≥ 0"
+	for _, c := range []struct {
+		name       string
+		cfg        Config
+		clean, bad string
+	}{
+		{"unknown policy", Config{Policy: "bogus"},
+			`cluster: unknown policy "bogus" (want round-robin, least-work, or affinity)`, nanArrival},
+		{"invalid bucket", Config{Admission: map[string]TokenBucket{"QoS-H": {Rate: 0, Burst: 1}}},
+			`cluster: admission bucket "QoS-H" needs a positive rate, got 0`, nanArrival},
+		{"rejected fault schedule", Config{Faults: badFaults},
+			"fault: event 0 at non-finite or negative time -1", nanArrival},
+	} {
+		for _, malformed := range []bool{false, true} {
+			reqs := genReqs(4, 100, 1, 1)
+			want := c.clean
+			if malformed {
+				reqs[2].Arrival, want = math.NaN(), c.bad
+			}
+			cfg := c.cfg
+			cfg.System, cfg.Chips, cfg.Trace, cfg.Obs = sys, 2, &sim.Trace{}, obs.New()
+			_, err := Run(cfg, reqs)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s (malformed request %v): err = %v, want %s", c.name, malformed, err, want)
+			}
+			if n := len(cfg.Trace.Events) + len(cfg.Obs.Registry().Snapshot().Series); n != 0 {
+				t.Errorf("%s (malformed request %v): %d trace events and series before the error", c.name, malformed, n)
+			}
 		}
 	}
 }

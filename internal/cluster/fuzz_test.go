@@ -170,15 +170,96 @@ func checkFront(t *testing.T, cfg Config, reqs []workload.Request, out *Outcome)
 	}
 }
 
+// checkDispatch rebuilds every dispatched request from the records of
+// the input requests the attribution links to it, and checks what Run
+// laid out: the leader's ID, model, domain and level (the earliest
+// arrival when no bucket reorders admits), the tightest member deadline,
+// the highest member priority, an arrival no earlier than any member's,
+// QoS measured from that arrival and the fused work of a merged group,
+// and, for a lone request handed over at its own arrival, its record
+// unchanged.
+func checkDispatch(t *testing.T, cfg Config, reqs []workload.Request, out *Outcome) {
+	t.Helper()
+	type slot struct{ chip, pos int32 }
+	groups := map[slot][]int{}
+	for i := range reqs {
+		if c := out.Attrib.Chip[i]; c >= 0 {
+			s := slot{c, out.Attrib.Pos[i]}
+			groups[s] = append(groups[s], i)
+		}
+	}
+	byID := map[int]int{}
+	for i := range reqs {
+		byID[reqs[i].ID] = i
+	}
+	for c, cr := range out.PerChip {
+		for p, got := range cr.Requests {
+			members := groups[slot{int32(c), int32(p)}]
+			if len(members) == 0 {
+				t.Fatalf("chip %d request %d: no input request links to it", c, p)
+			}
+			leader, ok := byID[got.ID]
+			if !ok || !slices.Contains(members, leader) {
+				t.Fatalf("chip %d request %d: ID %d is not a member of %v", c, p, got.ID, members)
+			}
+			lr := reqs[leader]
+			if cfg.Admission == nil {
+				first := slices.MinFunc(members, func(a, b int) int {
+					return cmp.Or(cmp.Compare(reqs[a].Arrival, reqs[b].Arrival), cmp.Compare(a, b))
+				})
+				if leader != first {
+					t.Fatalf("chip %d request %d: leader %d, want the first arrival %d of %v", c, p, leader, first, members)
+				}
+			}
+			if got.Model != lr.Model || got.Domain != lr.Domain || got.Level != lr.Level {
+				t.Fatalf("chip %d request %d: model/domain/level %q/%q/%q, leader has %q/%q/%q",
+					c, p, got.Model, got.Domain, got.Level, lr.Model, lr.Domain, lr.Level)
+			}
+			deadline, prio := lr.Deadline, lr.Priority
+			for _, m := range members {
+				deadline, prio = min(deadline, reqs[m].Deadline), max(prio, reqs[m].Priority)
+				if got.Model != reqs[m].Model {
+					t.Fatalf("chip %d request %d: member %d serves %q, group %q", c, p, m, reqs[m].Model, got.Model)
+				}
+				if got.Arrival < reqs[m].Arrival {
+					t.Fatalf("chip %d request %d: arrival %g before member %d's %g", c, p, got.Arrival, m, reqs[m].Arrival)
+				}
+			}
+			if got.Deadline != deadline || got.Priority != prio {
+				t.Fatalf("chip %d request %d: deadline %g priority %d, members' tightest %g and highest %d",
+					c, p, got.Deadline, got.Priority, deadline, prio)
+			}
+			k := len(members)
+			if k == 1 && got.Arrival == lr.Arrival {
+				if got != lr {
+					t.Fatalf("chip %d request %d: lone request dispatched at its arrival is %+v, its record %+v", c, p, got, lr)
+				}
+				continue
+			}
+			if got.QoS != got.Deadline-got.Arrival {
+				t.Fatalf("chip %d request %d: QoS %g, want deadline %g - arrival %g", c, p, got.QoS, got.Deadline, got.Arrival)
+			}
+			work := lr.Work
+			if k > 1 {
+				work = cmp.Or(lr.Work, 1) * (1 + DefaultBatchAlpha*float64(k-1))
+			}
+			if got.Work != work {
+				t.Fatalf("chip %d request %d: work %g for %d members led by work %g, want %g", c, p, got.Work, k, lr.Work, work)
+			}
+		}
+	}
+}
+
 // FuzzClusterRun drives cluster.Run with small arbitrary streams —
 // unsorted and tied arrivals, duplicate and non-positional IDs, an
 // unknown model, and NaN, ±Inf and negative fields — under fuzz-chosen
 // cluster shapes, policies, batching, admission, faults and autoscaling.
 // Run must not panic, must fail exactly when workload.Validate rejects
-// the stream, and on success must account for every request exactly
-// once, finish none before its arrival, close every front-door
-// attribution record, and fold views that agree with the outcome
-// (checkFront).
+// the stream and with its error, and on success must account for every
+// request exactly once, finish none before its arrival, close every
+// front-door attribution record, lay out dispatched requests that match
+// their members' records (checkDispatch), and fold views that agree with
+// the outcome (checkFront).
 func FuzzClusterRun(f *testing.F) {
 	sys := spatialSystem(f)
 	iso := sys.Cfg.Seconds(sys.Programs["toy-a"].Table(16).TotalCycles)
@@ -194,6 +275,9 @@ func FuzzClusterRun(f *testing.F) {
 	// unroutable sheds, traced and observed.
 	f.Add(uint32(306540), []byte{0, 0, 0, 64, 16, 17, 1, 0, 64, 16, 17, 2, 0, 64, 16, 17, 3, 0, 64, 16, 17,
 		4, 32, 64, 16, 1, 5, 112, 64, 16, 1})
+	// A lone Work = 0 request batched on one chip, with attribution: its
+	// window closes after its arrival, so it is rewritten, and keeps Work 0.
+	f.Add(uint32(2313), []byte{0, 0, 0, 64, 0, 1, 1, 16, 64, 16, 9})
 	f.Fuzz(func(t *testing.T, setup uint32, data []byte) {
 		reqs := fuzzStream(data, iso)
 		if len(reqs) == 0 {
@@ -202,7 +286,7 @@ func FuzzClusterRun(f *testing.F) {
 		cfg := fuzzConfig(sys, setup, iso)
 		out, err := Run(cfg, reqs)
 		verr := workload.Validate(reqs)
-		if (err != nil) != (verr != nil) {
+		if (err != nil) != (verr != nil) || err != nil && err.Error() != "cluster: "+verr.Error() {
 			t.Fatalf("Run error %v, Validate error %v", err, verr)
 		}
 		if err != nil {
@@ -223,6 +307,7 @@ func FuzzClusterRun(f *testing.F) {
 					t.Fatalf("request %d: front-door attribution record left open", i)
 				}
 			}
+			checkDispatch(t, cfg, reqs, out)
 		}
 		checkFront(t, cfg, reqs, out)
 	})

@@ -34,12 +34,12 @@ const (
 	evShed
 	// evBatch: a batching window closed on a group at time.
 	evBatch
-	// evDispatch: a group went to position pos of chip at time, handing
-	// off at its merged arrival at; backlog is the chip's new estimated
-	// backlog.
+	// evDispatch: a group went to position pos of chip at time, which is
+	// also its merged arrival, the instant the chip takes it over; backlog
+	// is the chip's new estimated backlog.
 	evDispatch
 	// evMigrate: a drain moved a group from chip from to position pos of
-	// chip, handing off at time (= at).
+	// chip, handing off at time.
 	evMigrate
 	// evDone: request req completed at time.
 	evDone
@@ -58,13 +58,13 @@ const (
 // event is one front-door decision. The struct is fixed size and holds
 // no reference; a group's members are arena[first : first+n].
 type event struct {
-	time, at, backlog float64
-	kind              eventKind
-	cause             obs.Cause
-	initial           bool
-	req               int32
-	first, n          int32
-	chip, pos, from   int32
+	time, backlog   float64
+	kind            eventKind
+	cause           obs.Cause
+	initial         bool
+	req             int32
+	first, n        int32
+	chip, pos, from int32
 }
 
 // frontEvents holds the front-door trace in three runs: a holds the
@@ -307,7 +307,7 @@ func (r *run) attribute(e *event) {
 			if e.kind == evMigrate {
 				r.led.Reopen(m, obs.PhaseDrainMigrate)
 			}
-			r.led.Close(m, e.at, obs.CauseDispatched)
+			r.led.Close(m, e.time, obs.CauseDispatched)
 			r.link(m, int(e.chip), int(e.pos))
 		}
 	}

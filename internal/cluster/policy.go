@@ -58,10 +58,10 @@ func parsePolicy(name string) (policy, error) {
 	}
 }
 
-// route picks the chip for a group of the named model dispatched at
-// instant t, or returns -1 when no chip is routable (the front end sheds
-// the group).
-func (r *run) route(t float64, model string) int {
+// route picks the chip for a group of the given interned model
+// dispatched at instant t, or returns -1 when no chip is routable (the
+// front end sheds the group).
+func (r *run) route(t float64, model int32) int {
 	switch r.pol {
 	case roundRobin:
 		n := len(r.chips)
@@ -81,7 +81,7 @@ func (r *run) route(t float64, model string) int {
 			}
 			// Strict > keeps the lowest index on a (vanishingly unlikely)
 			// score tie.
-			if s := affinityScore(model, i); best < 0 || s > bestScore {
+			if s := affinityScore(r.col.models[model].name, i); best < 0 || s > bestScore {
 				best, bestScore = i, s
 			}
 		}
@@ -108,8 +108,16 @@ func (r *run) leastWork(t float64, skip int) int {
 }
 
 // routable reports whether chip i can take new work at instant t: it
-// has a usable subarray and, on autoscaled runs, its slot is ready.
+// has a usable subarray and, on autoscaled runs, its slot is ready. A
+// chip with no fault schedule on a static fleet always can, a test that
+// inlines into the routing loops.
 func (r *run) routable(i int, t float64) bool {
+	return r.chips[i].health == nil && r.asc == nil || r.ready(i, t)
+}
+
+// ready is routable's test for a chip with a fault schedule or on an
+// autoscaled fleet.
+func (r *run) ready(i int, t float64) bool {
 	return r.chips[i].health.aliveAt(t, r.total) > 0 && (r.asc == nil || r.asc.routable(i, t))
 }
 

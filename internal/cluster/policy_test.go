@@ -16,6 +16,10 @@ func chipsRun(p policy, n int, dead ...int) *run {
 	return r
 }
 
+// routeName routes a group of the named model, interning the name as the
+// run's scan would.
+func (r *run) routeName(t float64, name string) int { return r.route(t, r.intern(name)) }
+
 func TestPolicyNameAliases(t *testing.T) {
 	for name, want := range map[string]string{
 		"round-robin": "round-robin", "rr": "round-robin",
@@ -48,7 +52,7 @@ func TestRoundRobinCyclesAndSkipsUnhealthy(t *testing.T) {
 	r := chipsRun(roundRobin, 3)
 	var picks []int
 	for i := 0; i < 6; i++ {
-		picks = append(picks, r.route(0, "m"))
+		picks = append(picks, r.routeName(0, "m"))
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	if fmt.Sprint(picks) != fmt.Sprint(want) {
@@ -57,13 +61,13 @@ func TestRoundRobinCyclesAndSkipsUnhealthy(t *testing.T) {
 	r = chipsRun(roundRobin, 3, 1)
 	picks = picks[:0]
 	for i := 0; i < 4; i++ {
-		picks = append(picks, r.route(0, "m"))
+		picks = append(picks, r.routeName(0, "m"))
 	}
 	want = []int{0, 2, 0, 2}
 	if fmt.Sprint(picks) != fmt.Sprint(want) {
 		t.Errorf("cycle with chip 1 dead = %v, want %v", picks, want)
 	}
-	if got := chipsRun(roundRobin, 3, 0, 1, 2).route(0, "m"); got != -1 {
+	if got := chipsRun(roundRobin, 3, 0, 1, 2).routeName(0, "m"); got != -1 {
 		t.Errorf("all-dead pick = %d, want -1", got)
 	}
 }
@@ -73,23 +77,23 @@ func TestLeastWorkPicksMinAndBreaksTiesByIndex(t *testing.T) {
 	for i, busy := range []float64{3, 1, 1, 2} { // chips 1 and 2 tie: lower index wins
 		r.chips[i].busyUntil = busy
 	}
-	if got := r.route(0, "m"); got != 1 {
+	if got := r.routeName(0, "m"); got != 1 {
 		t.Errorf("pick = %d, want 1 (least outstanding, lowest index on tie)", got)
 	}
 	// Backlog is clamped at zero: chips whose work finished before t tie
 	// with idle chips, so the tie breaks to the lowest index.
-	if got := r.route(5, "m"); got != 0 {
+	if got := r.routeName(5, "m"); got != 0 {
 		t.Errorf("all-idle pick = %d, want 0", got)
 	}
 	// The minimum being dead must not attract work.
 	r.chips[1].health = &healthSteps{times: []float64{0}, alive: []int{0}}
-	if got := r.route(0, "m"); got != 2 {
+	if got := r.routeName(0, "m"); got != 2 {
 		t.Errorf("pick with min dead = %d, want 2", got)
 	}
 	if got := r.leastWork(0, 2); got != 3 {
 		t.Errorf("pick skipping chip 2 = %d, want 3", got)
 	}
-	if got := chipsRun(leastWork, 2, 0, 1).route(0, "m"); got != -1 {
+	if got := chipsRun(leastWork, 2, 0, 1).routeName(0, "m"); got != -1 {
 		t.Errorf("all-dead pick = %d, want -1", got)
 	}
 }
@@ -98,12 +102,12 @@ func TestAffinityStableAcrossRunsAndInstances(t *testing.T) {
 	r1, r2 := chipsRun(affinity, 5), chipsRun(affinity, 5)
 	for i := 0; i < 40; i++ {
 		model := fmt.Sprintf("model-%d", i)
-		first := r1.route(0, model)
+		first := r1.routeName(0, model)
 		for rep := 0; rep < 3; rep++ {
-			if got := r1.route(float64(rep), model); got != first {
+			if got := r1.routeName(float64(rep), model); got != first {
 				t.Fatalf("%s: pick changed from %d to %d on repeat", model, first, got)
 			}
-			if got := r2.route(0, model); got != first {
+			if got := r2.routeName(0, model); got != first {
 				t.Fatalf("%s: fresh run picked %d, want %d", model, got, first)
 			}
 		}
@@ -114,7 +118,7 @@ func TestAffinitySpreadsModels(t *testing.T) {
 	r := chipsRun(affinity, 4)
 	hit := map[int]int{}
 	for i := 0; i < 64; i++ {
-		hit[r.route(0, fmt.Sprintf("model-%d", i))]++
+		hit[r.routeName(0, fmt.Sprintf("model-%d", i))]++
 	}
 	for chip := 0; chip < 4; chip++ {
 		if hit[chip] == 0 {
@@ -132,7 +136,7 @@ func TestAffinityRedistributesOnlyDeadChipsShare(t *testing.T) {
 	moved := 0
 	for i := 0; i < models; i++ {
 		model := fmt.Sprintf("model-%d", i)
-		before, after := live.route(0, model), degraded.route(0, model)
+		before, after := live.routeName(0, model), degraded.routeName(0, model)
 		if before != dead {
 			if after != before {
 				t.Errorf("%s moved %d -> %d though chip %d died", model, before, after, dead)

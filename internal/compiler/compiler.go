@@ -62,7 +62,7 @@ func Compile(net *dnn.Network, cfg arch.Config, s int, fissionable bool) (*Table
 	if s < 1 || s > cfg.NumSubarrays() {
 		return nil, fmt.Errorf("compiler: allocation %d outside [1,%d]", s, cfg.NumSubarrays())
 	}
-	t := &Table{Net: net.Name, Subarrays: s}
+	t := &Table{Net: net.Name, Subarrays: s, Layers: make([]LayerPlan, 0, len(net.Layers))}
 	t.CumCycles = make([]int64, 0, len(net.Layers)+1)
 	t.CumCycles = append(t.CumCycles, 0)
 	mono := arch.MonolithicShape(cfg)

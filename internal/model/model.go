@@ -15,6 +15,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"planaria/internal/arch"
 	"planaria/internal/dnn"
@@ -352,55 +353,88 @@ const parallelShapeThreshold = 24
 
 // BestShapeWith is BestShape restricted to shapes accepted by the filter.
 // If the filter rejects everything, the single-subarray shape is used.
-// Large searches evaluate candidates across a bounded worker pool; the
-// winner is reduced in shape-enumeration order with the same comparator a
-// sequential scan uses, so the chosen shape is identical either way.
+// Large searches split the candidates into one contiguous chunk per
+// worker; the chosen shape is identical to a sequential scan's (see
+// searchShapes).
 func BestShapeWith(l *dnn.Layer, cfg arch.Config, s int, filter ShapeFilter) Result {
 	if !l.Kind.IsGEMM() {
 		return VectorOnAlloc(l, cfg, s)
 	}
-	shapes := arch.EnumerateShapes(cfg, s)
+	return bestGEMMShape(l, cfg, s, filter, arch.EnumerateShapes(cfg, s))
+}
+
+// bestGEMMShape is BestShapeWith for a GEMM layer, over the shapes
+// arch.EnumerateShapes(cfg, s) returned. It only reads shapes, so one
+// enumeration serves every layer searched at the same allocation.
+func bestGEMMShape(l *dnn.Layer, cfg arch.Config, s int, filter ShapeFilter, shapes []arch.Shape) Result {
 	if len(shapes) == 0 {
 		shapes = []arch.Shape{arch.MonolithicShape(cfg)}
 	}
-	cands := shapes
-	if filter != nil {
-		cands = make([]arch.Shape, 0, len(shapes))
-		for _, sh := range shapes {
-			if filter(sh) {
-				cands = append(cands, sh)
-			}
-		}
+	workers := 1
+	if len(shapes) >= parallelShapeThreshold {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(cands) == 0 {
+	best, ok := searchShapes(shapes, workers, func(sh arch.Shape) (Result, bool) {
+		if filter != nil && !filter(sh) {
+			return Result{}, false
+		}
+		return LayerOnShape(l, sh, cfg, s), true
+	}, faster)
+	if !ok {
 		return LayerOnShape(l, arch.Shape{Clusters: 1, H: 1, W: 1}, cfg, s)
 	}
-
-	p := energy.Default()
-	better := func(r, best Result) bool {
-		return r.Cycles < best.Cycles ||
-			(r.Cycles == best.Cycles && r.Acct.Joules(p) < best.Acct.Joules(p))
-	}
-	if len(cands) < parallelShapeThreshold {
-		best := LayerOnShape(l, cands[0], cfg, s)
-		for _, sh := range cands[1:] {
-			if r := LayerOnShape(l, sh, cfg, s); better(r, best) {
-				best = r
-			}
-		}
-		return best
-	}
-	results := make([]Result, len(cands))
-	par.ForEach(len(cands), func(i int) {
-		results[i] = LayerOnShape(l, cands[i], cfg, s)
-	})
-	best := results[0]
-	for _, r := range results[1:] {
-		if better(r, best) {
-			best = r
-		}
-	}
 	return best
+}
+
+// faster is the shape search's order: fewer cycles, then less energy.
+func faster(r, best Result) bool {
+	p := energy.Default()
+	return r.Cycles < best.Cycles ||
+		(r.Cycles == best.Cycles && r.Acct.Joules(p) < best.Acct.Joules(p))
+}
+
+// searchShapes returns the best result of eval over shapes under better,
+// and false when eval accepts no shape. Up to workers workers each scan
+// one contiguous chunk of shapes in order and keep the chunk's earliest
+// best; the chunk bests then reduce in chunk order with the same better.
+// Ties therefore go to the earliest shape, exactly as in one sequential
+// scan, and a worker holds one running best instead of a result per
+// shape.
+func searchShapes(shapes []arch.Shape, workers int, eval func(arch.Shape) (Result, bool),
+	better func(r, best Result) bool) (Result, bool) {
+	workers = min(workers, len(shapes))
+	if workers <= 1 {
+		return scanShapes(shapes, eval, better)
+	}
+	type chunkBest struct {
+		r     Result
+		found bool
+	}
+	bests := make([]chunkBest, workers)
+	par.ForEachN(workers, workers, func(c int) {
+		b := &bests[c]
+		b.r, b.found = scanShapes(shapes[c*len(shapes)/workers:(c+1)*len(shapes)/workers], eval, better)
+	})
+	var best Result
+	found := false
+	for _, b := range bests {
+		if b.found && (!found || better(b.r, best)) {
+			best, found = b.r, true
+		}
+	}
+	return best, found
+}
+
+// scanShapes is one sequential scan of searchShapes: the earliest best of
+// eval over shapes under better.
+func scanShapes(shapes []arch.Shape, eval func(arch.Shape) (Result, bool),
+	better func(r, best Result) bool) (best Result, found bool) {
+	for _, sh := range shapes {
+		if r, ok := eval(sh); ok && (!found || better(r, best)) {
+			best, found = r, true
+		}
+	}
+	return best, found
 }
 
 // NetworkOnAlloc evaluates a whole network with s subarrays, choosing the
@@ -419,11 +453,15 @@ func NetworkOnAllocWith(n *dnn.Network, cfg arch.Config, s int, fissionable bool
 	var total Result
 	total.Shape = arch.Shape{Clusters: 1, H: 1, W: 1}
 	mono := arch.MonolithicShape(cfg)
+	var shapes []arch.Shape
+	if fissionable {
+		shapes = arch.EnumerateShapes(cfg, s)
+	}
 	for i := range n.Layers {
 		l := &n.Layers[i]
 		var r Result
-		if fissionable {
-			r = BestShapeWith(l, cfg, s, filter)
+		if fissionable && l.Kind.IsGEMM() {
+			r = bestGEMMShape(l, cfg, s, filter, shapes)
 		} else if l.Kind.IsGEMM() {
 			r = LayerOnShape(l, mono, cfg, s)
 		} else {

@@ -182,38 +182,78 @@ func (e *RequestError) Error() string {
 //
 //perf:cold boundary check: one pass over the stream before any event is simulated
 func Validate(reqs []Request) error {
-	var seen map[int]bool
+	c := NewChecker(reqs)
 	for i := range reqs {
-		r := &reqs[i]
-		if field, problem := badField(r); field != "" {
-			return &RequestError{Index: i, ID: r.ID, Field: field, Problem: problem}
-		}
-		if seen == nil {
-			if i == 0 || r.ID > reqs[i-1].ID {
-				continue
-			}
-			seen = make(map[int]bool, len(reqs))
-			for j := 0; j < i; j++ {
-				seen[reqs[j].ID] = true
+		if !c.Clean(i) {
+			if err := c.Check(i); err != nil {
+				return err
 			}
 		}
-		if seen[r.ID] {
-			return &RequestError{Index: i, ID: r.ID, Field: "ID", Problem: "is a duplicate"}
-		}
-		seen[r.ID] = true
 	}
 	return nil
 }
+
+// Checker applies Validate's checks one record at a time, so a serving
+// layer that makes its own pass over a stream validates it in that pass,
+// with Validate's rules and errors. Records are checked in stream order:
+// for each, Clean decides the common case inline, and Check, called only
+// when Clean reports false, gives the verdict.
+type Checker struct {
+	reqs []Request
+	// seen holds every ID checked so far, once IDs stop increasing along
+	// the stream; nil before that.
+	seen map[int]bool
+}
+
+// NewChecker returns a Checker for the stream reqs.
+func NewChecker(reqs []Request) Checker { return Checker{reqs: reqs} }
+
+// Clean reports whether record i passes every check without the ID
+// table: its fields are well formed, IDs have increased so far, and its
+// ID exceeds its predecessor's. It is small enough to inline.
+func (c *Checker) Clean(i int) bool {
+	r := &c.reqs[i]
+	return okTime(r.Arrival) && r.Deadline == r.Deadline && okTime(r.Work) &&
+		c.seen == nil && (i == 0 || r.ID > c.reqs[i-1].ID)
+}
+
+// Check validates record i, returning the *RequestError for its first
+// malformed field or a duplicate ID. It builds the table of earlier IDs
+// when IDs first stop increasing, and adds every later ID to it.
+func (c *Checker) Check(i int) error {
+	r := &c.reqs[i]
+	if field, problem := badField(r); field != "" {
+		return &RequestError{Index: i, ID: r.ID, Field: field, Problem: problem}
+	}
+	if c.seen == nil {
+		if i == 0 || r.ID > c.reqs[i-1].ID {
+			return nil
+		}
+		c.seen = make(map[int]bool, len(c.reqs))
+		for j := 0; j < i; j++ {
+			c.seen[c.reqs[j].ID] = true
+		}
+	}
+	if c.seen[r.ID] {
+		return &RequestError{Index: i, ID: r.ID, Field: "ID", Problem: "is a duplicate"}
+	}
+	c.seen[r.ID] = true
+	return nil
+}
+
+// okTime reports whether v is finite and ≥ 0, the rule for an arrival
+// time and a Work multiplier; NaN and ±Inf fail it.
+func okTime(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // badField names r's first malformed numeric field and what is wrong
 // with it, or returns empty strings.
 func badField(r *Request) (field, problem string) {
 	switch {
-	case !(r.Arrival >= 0) || math.IsInf(r.Arrival, 1):
+	case !okTime(r.Arrival):
 		return "Arrival", fmt.Sprintf("%g is not a finite time ≥ 0", r.Arrival)
 	case math.IsNaN(r.Deadline):
 		return "Deadline", "is NaN"
-	case !(r.Work >= 0) || math.IsInf(r.Work, 1):
+	case !okTime(r.Work):
 		return "Work", fmt.Sprintf("%g is not a finite multiplier ≥ 0", r.Work)
 	}
 	return "", ""
