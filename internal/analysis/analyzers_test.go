@@ -51,7 +51,8 @@ func TestObsGuard(t *testing.T) {
 // TestHotPropagation pins the call-graph engine: //perf:hot flows from
 // an annotated root into unannotated callees (transitively, with the
 // diagnostic naming the root), //perf:cold stops it, and call sites
-// inside observability guards contribute no edges.
+// inside observability guards contribute no hot edges, only recording
+// ones.
 func TestHotPropagation(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotAlloc, "hotprop")
 }

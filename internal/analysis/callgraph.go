@@ -17,8 +17,13 @@ import (
 // or concrete method (interface method calls do not resolve — dynamic
 // callees such as sched policies carry their own //perf:hot roots).
 // Call sites inside cold regions (observability-guard bodies and
-// error-exit blocks, see coldRegions) contribute no edges: a formatter
-// invoked only under `if tracer != nil` is not on the hot path.
+// error-exit blocks, see coldRegions) contribute no hot edges: a fold
+// invoked only under `if tracer != nil` is not on the hot path. A call
+// inside a hot function's guard body instead makes its callee a
+// recording function, and every call a recording function makes outside
+// its error exits does too: they run once per event whenever a sink is
+// attached, so they must record without formatting (hotalloc's
+// formatting rules) even though they may allocate.
 // A //perf:cold annotation stops propagation at a declaration —
 // constructors and per-run setup helpers that a hot root calls once
 // before entering its steady-state loop.
@@ -37,6 +42,9 @@ type hotFact struct {
 	root *types.Func
 	// direct marks an explicitly annotated root.
 	direct bool
+	// recording marks a function reached only through an observability
+	// guard of the root: only the formatting rules apply to it.
+	recording bool
 }
 
 // hot reports whether fn is in the closure.
@@ -55,10 +63,14 @@ func (p *Pass) hotDecl(decl *ast.FuncDecl) (hotFact, bool) {
 }
 
 // via renders the propagation origin for diagnostics: empty for direct
-// roots, " (hot via <root>)" for propagated hotness.
+// roots, " (hot via <root>)" for propagated hotness and
+// " (recording via <root>)" for a recording function.
 func (f hotFact) via() string {
-	if f.direct || f.root == nil {
+	switch {
+	case f.direct || f.root == nil:
 		return ""
+	case f.recording:
+		return " (recording via " + f.root.FullName() + ")"
 	}
 	return " (hot via " + f.root.FullName() + ")"
 }
@@ -74,8 +86,10 @@ type declSite struct {
 // ComputeHot builds the hot closure over the given packages. Functions
 // annotated //perf:hot seed the closure; reachability follows resolved
 // calls between the given packages' declarations, skipping cold regions
-// and //perf:cold declarations. The walk is deterministic: roots and
-// work items are processed in source-position order.
+// and //perf:cold declarations. The calls in the hot functions' guard
+// bodies seed the recording closure, which follows every call outside
+// an error exit. The walk is deterministic: roots and work items are
+// processed in source-position order.
 func ComputeHot(pkgs []*Package) *HotSet {
 	decls := map[*types.Func]declSite{}
 	cold := map[*types.Func]bool{}
@@ -112,42 +126,80 @@ func ComputeHot(pkgs []*Package) *HotSet {
 	}
 	sort.Slice(queue, func(i, j int) bool { return queue[i].Pos() < queue[j].Pos() })
 
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		site, ok := decls[fn]
-		if !ok {
-			continue
-		}
+	// The hot closure comes first, so a function reached both ways is
+	// hot. The recording closure then grows from the hot functions'
+	// guard bodies.
+	var seeds []*types.Func
+	for _, fn := range h.walk(queue, decls, cold, hotSites) {
 		fact := h.facts[fn]
-		for _, callee := range hotCallees(site) {
-			if cold[callee] {
-				continue
+		fact.direct, fact.recording = false, true
+		for _, callee := range callees(decls[fn], guardSites) {
+			if h.adopt(callee, fact, decls, cold) {
+				seeds = append(seeds, callee)
 			}
-			if _, seen := h.facts[callee]; seen {
-				continue
-			}
-			if _, local := decls[callee]; !local {
-				continue
-			}
-			h.facts[callee] = hotFact{reason: fact.reason, root: fact.root}
-			queue = append(queue, callee)
 		}
 	}
+	h.walk(seeds, decls, cold, liveSites)
 	return h
 }
 
-// hotCallees returns the resolved callees of a declaration's hot call
-// sites in source order, excluding calls inside cold regions.
-func hotCallees(site declSite) []*types.Func {
-	skip := coldRegions(site.pkg.Info, site.guards, site.decl.Body)
+// sites selects the call sites of a declaration that contribute edges.
+type sites uint8
+
+const (
+	hotSites   sites = iota // outside guard bodies and error exits
+	guardSites              // inside a guard body, outside error exits
+	liveSites               // anywhere outside error exits
+)
+
+// walk extends the closure breadth-first from queue along the selected
+// call sites and returns the functions it visited, queue first, in
+// visiting order. Each callee inherits its caller's fact.
+func (h *HotSet) walk(queue []*types.Func, decls map[*types.Func]declSite, cold map[*types.Func]bool, which sites) []*types.Func {
+	var order []*types.Func
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		order = append(order, fn)
+		fact := h.facts[fn]
+		fact.direct = false
+		for _, callee := range callees(decls[fn], which) {
+			if h.adopt(callee, fact, decls, cold) {
+				queue = append(queue, callee)
+			}
+		}
+	}
+	return order
+}
+
+// adopt adds fn to the closure with fact unless it is cold, already in
+// the closure, or declared outside the given packages.
+func (h *HotSet) adopt(fn *types.Func, fact hotFact, decls map[*types.Func]declSite, cold map[*types.Func]bool) bool {
+	if cold[fn] {
+		return false
+	}
+	if _, seen := h.facts[fn]; seen {
+		return false
+	}
+	if _, local := decls[fn]; !local {
+		return false
+	}
+	h.facts[fn] = fact
+	return true
+}
+
+// callees returns the resolved callees of a declaration's selected call
+// sites in source order.
+func callees(site declSite, which sites) []*types.Func {
+	r := coldRegions(site.pkg.Info, site.guards, site.decl.Body)
 	var out []*types.Func
 	ast.Inspect(site.decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if skip.contains(call.Pos()) {
+		if r.exits.contains(call.Pos()) || (which == hotSites && r.guards.contains(call.Pos())) ||
+			(which == guardSites && !r.guards.contains(call.Pos())) {
 			return true
 		}
 		if fn := calleeFunc(site.pkg.Info, call); fn != nil {

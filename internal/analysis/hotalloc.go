@@ -18,13 +18,17 @@ import (
 //     evidence — no reslice (buf[:0]), no preallocation, not a
 //     parameter-owned buffer;
 //   - string concatenation;
-//   - any fmt call (formatting allocates; hot paths format only under
-//     tracer guards);
+//   - any fmt call, and any strconv call that returns a string
+//     (formatting allocates);
 //   - interface boxing at call sites: a non-pointer-shaped concrete
 //     argument passed to an interface parameter heap-allocates its copy.
 //
-// Cold regions are exempt: observability-guard bodies and error-exit
-// blocks (see coldRegions). A statement is exempted explicitly with
+// Error-exit blocks are exempt. Observability-guard bodies and the
+// recording functions they reach (see ComputeHot) run once per event
+// whenever a sink is attached: they may allocate, but the formatting
+// rules — fmt, string-valued strconv, string concatenation — apply there
+// too, since a timeline records names as obs.Name values and renders
+// them at export. A statement is exempted explicitly with
 // //perf:alloc-ok <reason> on its line or the line above; the reason is
 // mandatory.
 var HotAlloc = &Analyzer{
@@ -53,20 +57,35 @@ func runHotAlloc(pass *Pass) error {
 }
 
 func (p *Pass) checkHotAlloc(anns annotations, decl *ast.FuncDecl, fact hotFact) {
-	skip := coldRegions(p.Info, p.guards, decl.Body)
+	cold := coldRegions(p.Info, p.guards, decl.Body)
 	loops := loopSpans(decl.Body)
 	reuse := reuseEvidence(p.Info, decl)
 	addrTaken := map[*ast.CompositeLit]bool{}
 
-	report := func(n ast.Node, format string, args ...any) {
-		if skip.contains(n.Pos()) {
-			return
-		}
+	emit := func(n ast.Node, format string, args []any) {
 		if p.exemptPerf(anns, n, "alloc-ok") {
 			return
 		}
 		args = append(args, fact.via())
 		p.Reportf(n.Pos(), format+"%s", args...)
+	}
+	// report is an allocation rule: hot code outside cold regions.
+	report := func(n ast.Node, format string, args ...any) {
+		if fact.recording || cold.contains(n.Pos()) {
+			return
+		}
+		emit(n, format, args)
+	}
+	// formats is a formatting rule: everywhere but error exits.
+	formats := func(n ast.Node, what string) {
+		if cold.exits.contains(n.Pos()) {
+			return
+		}
+		where := "in hot function %s"
+		if fact.recording || cold.guards.contains(n.Pos()) {
+			where = "on the recording path in %s: record an obs.Name and let the export render it"
+		}
+		emit(n, what+" "+where, []any{decl.Name.Name})
 	}
 
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -94,25 +113,25 @@ func (p *Pass) checkHotAlloc(anns annotations, decl *ast.FuncDecl, fact hotFact)
 			}
 
 		case *ast.CallExpr:
-			p.checkHotCall(report, loops, reuse, decl, e)
+			p.checkHotCall(report, formats, loops, reuse, decl, e)
 
 		case *ast.BinaryExpr:
 			if e.Op == token.ADD && isStringType(p.Info.TypeOf(e)) {
-				report(e, "string concatenation allocates in hot function %s", decl.Name.Name)
+				formats(e, "string concatenation allocates")
 			}
 
 		case *ast.AssignStmt:
 			if e.Tok == token.ADD_ASSIGN && len(e.Lhs) == 1 && isStringType(p.Info.TypeOf(e.Lhs[0])) {
-				report(e, "string += allocates in hot function %s", decl.Name.Name)
+				formats(e, "string += allocates")
 			}
 		}
 		return true
 	})
 }
 
-// checkHotCall handles the call-shaped rules: builtins in loops, fmt,
-// and interface boxing.
-func (p *Pass) checkHotCall(report func(ast.Node, string, ...any), loops spanSet, reuse map[types.Object]bool, decl *ast.FuncDecl, call *ast.CallExpr) {
+// checkHotCall handles the call-shaped rules: builtins in loops,
+// formatting calls, and interface boxing.
+func (p *Pass) checkHotCall(report func(ast.Node, string, ...any), formats func(ast.Node, string), loops spanSet, reuse map[types.Object]bool, decl *ast.FuncDecl, call *ast.CallExpr) {
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if b, isBuiltin := p.objectOf(id).(*types.Builtin); isBuiltin {
 			switch b.Name() {
@@ -137,8 +156,9 @@ func (p *Pass) checkHotCall(report func(ast.Node, string, ...any), loops spanSet
 	}
 
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if path, ok := p.packageQualifier(sel); ok && path == "fmt" {
-			report(call, "fmt.%s formats (and allocates) in hot function %s", sel.Sel.Name, decl.Name.Name)
+		path, ok := p.packageQualifier(sel)
+		if ok && (path == "fmt" || path == "strconv" && isStringType(p.Info.TypeOf(call))) {
+			formats(call, path+"."+sel.Sel.Name+" formats (and allocates)")
 			return
 		}
 	}

@@ -11,12 +11,14 @@ import (
 //
 // Guard-required probes: the event loop's run.emit (the engine guards
 // each with `if r.observed { ... }`) and TraceBuilder.Span/Instant/
-// Counter, their interned-track forms SpanOn/CounterOn and Track (they
-// Sprintf label strings at most call sites). The known
-// nil-safe inline paths — Counter.Inc/Add, Gauge.Set/Max,
+// Counter, their registered-track forms SpanOn/CounterOn and Track
+// (each builds a name value and its args even when the builder is nil).
+// The known nil-safe inline paths — Counter.Inc/Add, Gauge.Set/Max,
 // Histogram.Observe, Registry.Counter/Gauge/Histogram, Observer
-// accessors, and both Reserve methods — are cheap no-ops when disabled
-// and may appear unguarded. //perf:obsguard-ok <reason> exempts a call.
+// accessors, and Trace.Reserve — are cheap no-ops when disabled and may
+// appear unguarded. Recording functions (see ComputeHot) are reached
+// only through a guard and are not checked. //perf:obsguard-ok <reason>
+// exempts a call.
 var ObsGuard = &Analyzer{
 	Name: "obsguard",
 	Doc: "requires nil/enabled guards around expensive obs probes (run.emit, TraceBuilder.Span/" +
@@ -40,7 +42,7 @@ func runObsGuard(pass *Pass) error {
 				continue
 			}
 			fact, hot := pass.hotDecl(decl)
-			if !hot {
+			if !hot || fact.recording {
 				continue
 			}
 			pass.checkObsGuards(anns, decl, fact)

@@ -266,45 +266,55 @@ func errorExitBlock(info *types.Info, list []ast.Stmt) bool {
 
 var errorType = types.Universe.Lookup("error").Type()
 
-// coldRegions returns the spans inside fn that the performance analyzers
-// and the call-graph walker skip as off the hot steady state:
+// regions are the spans of a function body that the performance
+// analyzers and the call-graph walker treat as off the hot steady state:
 //
-//   - bodies of observability guards (`if tracer != nil { ... }`, or a
-//     test of one of the package's guards, see obsBoolGuards) — work
-//     there only runs when tracing is on;
-//   - nested blocks that exit on an error or a panic — failure paths
-//     may format and allocate freely.
-//
-// The function's own top-level body never qualifies as an error exit
-// (a tail `return g()` returning error would otherwise blanket-exempt
-// the whole function).
-func coldRegions(info *types.Info, guards map[types.Object]bool, body *ast.BlockStmt) spanSet {
-	var spans spanSet
+//   - guards: bodies of observability guards (`if tracer != nil { ... }`,
+//     or a test of one of the package's guards, see obsBoolGuards) — work
+//     there only runs when a sink is attached, so only the formatting
+//     rules apply;
+//   - exits: nested blocks that exit on an error or a panic — failure
+//     paths may format and allocate freely.
+type regions struct {
+	guards, exits spanSet
+}
+
+// contains reports whether pos falls inside either kind of region.
+func (r *regions) contains(pos token.Pos) bool {
+	return r.guards.contains(pos) || r.exits.contains(pos)
+}
+
+// coldRegions returns the cold regions of a function body. The
+// function's own top-level body never qualifies as an error exit (a tail
+// `return g()` returning error would otherwise blanket-exempt the whole
+// function).
+func coldRegions(info *types.Info, guards map[types.Object]bool, body *ast.BlockStmt) regions {
+	var r regions
 	if body == nil {
-		return spans
+		return r
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.IfStmt:
 			if obsGuardCond(info, guards, st.Cond) {
-				spans.add(st.Body.Pos(), st.Body.End())
+				r.guards.add(st.Body.Pos(), st.Body.End())
 			}
 		case *ast.BlockStmt:
 			if st != body && errorExitBlock(info, st.List) {
-				spans.add(st.Pos(), st.End())
+				r.exits.add(st.Pos(), st.End())
 			}
 		case *ast.CaseClause:
 			if errorExitBlock(info, st.Body) && len(st.Body) > 0 {
-				spans.add(st.Body[0].Pos(), st.Body[len(st.Body)-1].End())
+				r.exits.add(st.Body[0].Pos(), st.Body[len(st.Body)-1].End())
 			}
 		case *ast.CommClause:
 			if errorExitBlock(info, st.Body) && len(st.Body) > 0 {
-				spans.add(st.Body[0].Pos(), st.Body[len(st.Body)-1].End())
+				r.exits.add(st.Body[0].Pos(), st.Body[len(st.Body)-1].End())
 			}
 		}
 		return true
 	})
-	return spans
+	return r
 }
 
 // unparen strips parentheses.

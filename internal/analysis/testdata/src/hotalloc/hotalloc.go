@@ -1,10 +1,14 @@
 // Package hotalloc exercises the hotalloc analyzer: allocation
 // constructs inside //perf:hot functions are findings; cold regions
 // (tracer-guard bodies, error-exit blocks), reuse evidence, and
-// //perf:alloc-ok exemptions are not.
+// //perf:alloc-ok exemptions are not. Formatting is a finding in
+// tracer-guard bodies too, and only error exits may format.
 package hotalloc
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 type event struct {
 	seq  int
@@ -91,10 +95,18 @@ func noBox(e *event) int {
 	return lastKey(e)
 }
 
-//perf:hot fixture steady state: guard bodies and error exits are cold
+//perf:hot fixture steady state: string-valued strconv calls format
+func itoa(e event, buf []byte) ([]byte, string) {
+	return strconv.AppendInt(buf, int64(e.seq), 10), strconv.Itoa(e.seq) // want `strconv\.Itoa formats \(and allocates\) in hot function itoa`
+}
+
+//perf:hot fixture steady state: guard bodies may allocate but not format; error exits are cold
 func guarded(n *node, e event) error {
 	if n.trace != nil {
-		n.trace.record(event{seq: e.seq, name: fmt.Sprintf("ev-%d", e.seq)})
+		names := []string{"ev"}
+		n.trace.record(event{seq: e.seq, name: names[0]})
+		n.trace.record(event{seq: e.seq, name: fmt.Sprintf("ev-%d", e.seq)}) // want `fmt\.Sprintf formats \(and allocates\) on the recording path in guarded: record an obs\.Name`
+		n.trace.record(event{seq: e.seq, name: "ev-" + strconv.Itoa(e.seq)}) // want `string concatenation allocates on the recording path in guarded` `strconv\.Itoa formats \(and allocates\) on the recording path in guarded`
 	}
 	if e.seq < 0 {
 		return fmt.Errorf("bad seq %d", e.seq)

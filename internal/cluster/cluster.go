@@ -423,7 +423,7 @@ func (r *run) release() {
 		errs:       r.errs[:0],
 		views: views{
 			front:   frontEvents{a: r.front.a[:0], b: r.front.b[:0]},
-			perChip: r.perChip[:0], latHists: r.latHists,
+			perChip: r.perChip[:0], latHists: r.latHists[:0],
 		},
 	}
 }

@@ -589,6 +589,8 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 		{"negative arrival", func(r *workload.Request) { r.Arrival = -1 }, "Arrival"},
 		{"NaN deadline", func(r *workload.Request) { r.Deadline = math.NaN() }, "Deadline"},
 		{"negative work", func(r *workload.Request) { r.Work = -1 }, "Work"},
+		{"priority past int32", func(r *workload.Request) { r.Priority = int(int64(math.MaxInt32) + 1) }, "Priority"},
+		{"priority below int32", func(r *workload.Request) { r.Priority = int(int64(math.MinInt32) - 1) }, "Priority"},
 		{"duplicate ID", func(r *workload.Request) { r.ID = 0 }, "ID"},
 	}
 	for _, c := range cases {

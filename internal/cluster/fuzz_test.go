@@ -31,7 +31,8 @@ func fuzzValue(b byte, unit float64) float64 {
 
 // fuzzStream decodes up to 16 requests, five bytes each (ID, arrival,
 // deadline, work, and model, level and priority), after one header byte
-// that picks the ID scheme. iso is the toy models' isolated run time.
+// that picks the ID scheme. A last byte of 255 gives a priority past
+// the int32 range. iso is the toy models' isolated run time.
 func fuzzStream(data []byte, iso float64) []workload.Request {
 	if len(data) == 0 {
 		return nil
@@ -56,6 +57,9 @@ func fuzzStream(data []byte, iso float64) []workload.Request {
 		}
 		if data[4]&16 != 0 {
 			r.Level = "QoS-H"
+		}
+		if data[4] == 255 {
+			r.Priority = int(int64(math.MaxInt32) + 1)
 		}
 		reqs = append(reqs, r)
 	}
@@ -278,6 +282,9 @@ func FuzzClusterRun(f *testing.F) {
 	// A lone Work = 0 request batched on one chip, with attribution: its
 	// window closes after its arrival, so it is rewritten, and keeps Work 0.
 	f.Add(uint32(2313), []byte{0, 0, 0, 64, 0, 1, 1, 16, 64, 16, 9})
+	// Two requests, the second with a priority past the int32 range: Run
+	// rejects the stream with Validate's error, which names the field.
+	f.Add(uint32(5), []byte{0, 0, 0, 64, 16, 1, 1, 0, 64, 16, 255})
 	f.Fuzz(func(t *testing.T, setup uint32, data []byte) {
 		reqs := fuzzStream(data, iso)
 		if len(reqs) == 0 {

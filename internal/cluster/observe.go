@@ -95,7 +95,7 @@ type views struct {
 	scaleUp, drains, scaleDown, migrate *obs.Counter
 	batchSize                           *obs.Histogram
 	perChip                             []chipSeries
-	latHists                            map[string]*obs.Histogram // per model, interned on first completion; pooled
+	latHists                            []*obs.Histogram // by model ID, registered on first completion; pooled
 }
 
 // attach binds the configuration's sinks to the run: the registry
@@ -113,8 +113,9 @@ func (r *run) attach() {
 	r.unroutable = reg.Counter("cluster_unroutable_shed_total")
 	r.batches = reg.Counter("cluster_batches_total")
 	r.batchSize = reg.Histogram("cluster_batch_size", []float64{1, 2, 4, 8, 16, 32})
-	if reg != nil && r.latHists == nil {
-		r.latHists = make(map[string]*obs.Histogram)
+	if reg != nil {
+		r.latHists = grow(r.latHists, len(r.col.models))[:len(r.col.models)]
+		clear(r.latHists)
 	}
 	r.perChip = grow(r.perChip, cfg.Chips)[:cfg.Chips]
 	for i := range r.perChip {
@@ -236,11 +237,11 @@ func (r *run) count(e *event) {
 	case evMigrate:
 		r.migrate.Inc()
 	case evDone:
-		q := &r.reqs[e.req]
-		h := r.latHists[q.Model]
+		mid := r.col.mids[e.req]
+		h := r.latHists[mid]
 		if h == nil {
-			h = r.reg.Histogram("cluster_latency_seconds", obs.DurationBuckets(), obs.L("model", q.Model))
-			r.latHists[q.Model] = h
+			h = r.reg.Histogram("cluster_latency_seconds", obs.DurationBuckets(), obs.L("model", r.reqs[e.req].Model))
+			r.latHists[mid] = h
 		}
 		h.Observe(e.time - r.col.arrs[e.req])
 	case evBoot:
@@ -269,7 +270,7 @@ func (r *run) timeline(e *event) {
 	case evBatch:
 		if e.n > 1 {
 			q := &r.reqs[r.arena[e.first]]
-			r.tracer.Span("cluster/batches", fmt.Sprintf("%s x%d", q.Model, e.n),
+			r.tracer.Span("cluster/batches", obs.Fmt("%s x%d").Str(q.Model).Int(int(e.n)),
 				q.Arrival, e.time, obs.Str("model", q.Model), obs.Num("size", float64(e.n)))
 		}
 	case evDispatch:
@@ -287,7 +288,7 @@ func (r *run) timeline(e *event) {
 func (r *run) attribute(e *event) {
 	switch e.kind {
 	case evArrival:
-		r.led.Open(int(e.req), e.time, obs.PhaseAdmitWait)
+		r.led.Mark(int(e.req), e.time, obs.PhaseAdmitWait)
 	case evGrant:
 		r.led.Mark(int(e.req), e.time, obs.PhaseBatchWait)
 	case evShed:

@@ -8,6 +8,7 @@ import (
 
 	"planaria/internal/cluster"
 	"planaria/internal/fault"
+	"planaria/internal/metrics"
 	"planaria/internal/obs"
 	"planaria/internal/sim"
 	"planaria/internal/workload"
@@ -168,6 +169,68 @@ func renderClusterPaths(s *Suite) ([]byte, error) {
 		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(cfg.Obs.Tracer().JSON()))
 		for _, e := range out.Fleet.Events() {
 			fmt.Fprintf(&b, "fleet %x chip=%d %v\n", e.Time, e.Chip, e.Kind)
+		}
+	}
+	return []byte(b.String()), nil
+}
+
+// chipTimelineTemplates are the timeline names renderChipTimelines must
+// reach; no other golden records them.
+var chipTimelineTemplates = map[string][]string{
+	"Planaria":         {`"fission: unfit `, `"fission: fit `, `"task 1`, `"kill task `, `fault lands on unit `, `fault repairs on unit `},
+	"Planaria-Elastic": {`"elastic: fit `, `"elastic: unfit `, `"task 1`, `"refission task `},
+}
+
+// renderChipTimelines pins each chip's own timeline. Two chips serve an
+// overloaded Workload-A/QoS-H stream whose request IDs cross 1000, under
+// Spatial and under the elastic policy, with transient subarray faults
+// on chip 0, batching, and an observer on the front door and on every
+// chip. It renders a digest and the length of every chip's timeline and
+// of the front door's, and fails if a chip timeline misses a name
+// template of chipTimelineTemplates.
+func renderChipTimelines(s *Suite) ([]byte, error) {
+	reqs, err := workload.Generate(workload.ScenarioA(), workload.QoSHard, 1500, 120, 6)
+	if err != nil {
+		return nil, err
+	}
+	for i := range reqs {
+		reqs[i].ID += 940
+	}
+	span := reqs[len(reqs)-1].Arrival
+	var b strings.Builder
+	for _, sys := range []metrics.System{s.Planaria, s.Elastic} {
+		units, pods := sys.Cfg.NumSubarrays(), sys.Cfg.Pods
+		sched := &fault.Schedule{Units: units, Pods: pods}
+		for _, f := range []float64{0.2, 0.5, 0.7} {
+			sched.Events = append(sched.Events,
+				fault.Event{Time: span * f, Kind: fault.KindSubarray, Unit: 0, Duration: span / 20},
+				fault.Event{Time: span * f, Kind: fault.KindSubarray, Unit: units - 1, Duration: span / 25})
+		}
+		cfg := cluster.Config{
+			System: sys, Chips: 2, Policy: "round-robin",
+			BatchWindow: 1e-3, MaxBatch: 3,
+			Faults:    []*fault.Schedule{sched, nil},
+			FaultMode: sim.FaultFission, Shed: sim.ShedDoomed,
+			Obs: obs.New(), Observe: true,
+		}
+		out, err := cluster.Run(cfg, reqs)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sys.Name, err)
+		}
+		fmt.Fprintf(&b, "== %s completed=%d killed=%d shed=%d\n", sys.Name, out.Completed, out.Killed, out.ShedChips)
+		front := cfg.Obs.Tracer()
+		fmt.Fprintf(&b, "front events=%d sha256=%x\n", front.Len(), sha256.Sum256(front.JSON()))
+		all := ""
+		for i, cr := range out.PerChip {
+			tl := cr.Obs.Tracer()
+			js := tl.JSON()
+			all += string(js)
+			fmt.Fprintf(&b, "chip %d events=%d sha256=%x\n", i, tl.Len(), sha256.Sum256(js))
+		}
+		for _, want := range chipTimelineTemplates[sys.Name] {
+			if !strings.Contains(all, want) {
+				return nil, fmt.Errorf("%s: no chip timeline has a %s name", sys.Name, want)
+			}
 		}
 	}
 	return []byte(b.String()), nil

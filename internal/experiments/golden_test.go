@@ -94,6 +94,7 @@ var goldenCases = []goldenCase{
 	{name: "node-observed.txt", gen: renderObservedNode},
 	{name: "ablation.txt", long: true, gen: renderAblations},
 	{name: "cluster-paths.txt", gen: renderClusterPaths},
+	{name: "chip-timelines.txt", gen: renderChipTimelines},
 }
 
 func clusterGolden(s *Suite, o ClusterOptions) ([]byte, error) {

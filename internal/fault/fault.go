@@ -56,6 +56,7 @@ func (k Kind) String() string {
 	case KindLink:
 		return "link"
 	default:
+		//perf:alloc-ok schedules with an unknown kind fail validation, so a run never names one
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }

@@ -222,17 +222,8 @@ func (l *Ledger) stamp(pos int, t float64, p Phase) {
 	l.head[pos] = int32(len(l.marks) - 1)
 }
 
-// Open starts a record's phase chain at instant t. Opening an already
-// open record behaves like Mark.
-func (l *Ledger) Open(pos int, t float64, p Phase) {
-	if l == nil || pos < 0 || pos >= len(l.head) {
-		return
-	}
-	l.stamp(pos, t, p)
-}
-
-// Mark transitions a record into phase p at instant t. The preceding
-// phase's span ends here.
+// Mark transitions a record into phase p at instant t: a record's first
+// mark opens it, and a later one ends the preceding phase's span here.
 func (l *Ledger) Mark(pos int, t float64, p Phase) {
 	if l == nil || pos < 0 || pos >= len(l.head) {
 		return
@@ -272,13 +263,6 @@ func (l *Ledger) Reopen(pos int, p Phase) {
 	l.stamp(pos, t, p)
 }
 
-// Terminal is Open+Close in one call, for records that never queue: the
-// whole [from, to] span lands in phase p with terminal cause c.
-func (l *Ledger) Terminal(pos int, from, to float64, p Phase, c Cause) {
-	l.Open(pos, from, p)
-	l.Close(pos, to, c)
-}
-
 // Closed reports whether the record has reached its terminal event.
 func (l *Ledger) Closed(pos int) bool {
 	if l == nil || pos < 0 || pos >= len(l.end) {
@@ -294,35 +278,6 @@ func (l *Ledger) Cause(pos int) Cause {
 		return CauseOpen
 	}
 	return l.cause[pos]
-}
-
-// Start returns the record's first mark instant (NaN if never opened).
-func (l *Ledger) Start(pos int) float64 {
-	if l == nil || pos < 0 || pos >= len(l.head) || l.head[pos] < 0 {
-		return math.NaN()
-	}
-	i := l.head[pos]
-	for l.marks[i].prev >= 0 {
-		i = l.marks[i].prev
-	}
-	return l.marks[i].t
-}
-
-// End returns the record's terminal instant (NaN while open).
-func (l *Ledger) End(pos int) float64 {
-	if l == nil || pos < 0 || pos >= len(l.end) {
-		return math.NaN()
-	}
-	return l.end[pos]
-}
-
-// Current returns the record's latest phase and whether the record has
-// any marks at all.
-func (l *Ledger) Current(pos int) (Phase, bool) {
-	if l == nil || pos < 0 || pos >= len(l.head) || l.head[pos] < 0 {
-		return 0, false
-	}
-	return l.marks[l.head[pos]].phase, true
 }
 
 // Durations accumulates the record's per-phase spans into dur. Each span

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/big"
 	"strings"
 	"testing"
@@ -13,16 +12,13 @@ import (
 
 func TestLedgerOpenMarkClose(t *testing.T) {
 	l := NewLedger(2)
-	l.Open(0, 1.0, PhaseQueueWait)
+	l.Mark(0, 1.0, PhaseQueueWait)
 	l.Mark(0, 1.5, PhaseCompute)
 	l.Mark(0, 2.25, PhasePreemptStall)
 	l.Close(0, 3.0, CauseDone)
 
 	if !l.Closed(0) || l.Cause(0) != CauseDone {
 		t.Fatalf("record 0: closed=%v cause=%v", l.Closed(0), l.Cause(0))
-	}
-	if s, e := l.Start(0), l.End(0); s != 1.0 || e != 3.0 {
-		t.Fatalf("start/end = %g/%g, want 1/3", s, e)
 	}
 	var dur [NumPhases]float64
 	if !l.Durations(0, &dur) {
@@ -56,7 +52,7 @@ func TestLedgerOpenMarkClose(t *testing.T) {
 
 func TestLedgerClampsBackwardInstants(t *testing.T) {
 	l := NewLedger(1)
-	l.Open(0, 5.0, PhaseQueueWait)
+	l.Mark(0, 5.0, PhaseQueueWait)
 	l.Mark(0, 5.0-1e-13, PhaseCompute) // sub-Eps skew from event merge
 	l.Close(0, 4.0, CauseDone)         // grossly backwards: clamps to 5.0
 	var dur [NumPhases]float64
@@ -68,38 +64,42 @@ func TestLedgerClampsBackwardInstants(t *testing.T) {
 		}
 		total += d
 	}
-	if total != l.End(0)-l.Start(0) {
-		t.Fatalf("conservation broke under clamping: Σ=%g, end-start=%g", total, l.End(0)-l.Start(0))
+	spans := l.Spans(0, nil)
+	if start, end := spans[0].From, spans[len(spans)-1].To; total != end-start || end != 5.0 {
+		t.Fatalf("conservation broke under clamping: Σ=%g, end-start=%g-%g", total, end, start)
 	}
 }
 
+// TestLedgerTerminal closes records at their terminal event: one that
+// never left its first phase, and one closed at the instant of its last
+// mark, whose zero-length span still counts as a phase.
 func TestLedgerTerminal(t *testing.T) {
 	l := NewLedger(2)
-	l.Terminal(0, 2.0, 2.5, PhaseQueueWait, CauseShedChip)
+	l.Mark(0, 2.0, PhaseQueueWait)
+	l.Close(0, 2.5, CauseShedChip)
 	if !l.Closed(0) || l.Cause(0) != CauseShedChip {
-		t.Fatal("Terminal did not close the record")
+		t.Fatal("Close did not close the record")
 	}
 	var dur [NumPhases]float64
 	l.Durations(0, &dur)
 	if dur[PhaseQueueWait] != 0.5 {
 		t.Fatalf("terminal span = %v", dur)
 	}
-	// Terminal on an already-open record degrades Open to Mark.
-	l.Open(1, 1.0, PhaseQueueWait)
-	l.Terminal(1, 3.0, 3.0, PhaseRetryBackoff, CauseShedRetries)
+	l.Mark(1, 1.0, PhaseQueueWait)
+	l.Mark(1, 3.0, PhaseRetryBackoff)
+	l.Close(1, 3.0, CauseShedRetries)
 	dur = [NumPhases]float64{} // Durations accumulates; clear record 0's spans
 	l.Durations(1, &dur)
-	if dur[PhaseQueueWait] != 2.0 || l.Cause(1) != CauseShedRetries {
-		t.Fatalf("terminal-after-open: dur=%v cause=%v", dur, l.Cause(1))
+	if dur[PhaseQueueWait] != 2.0 || l.Cause(1) != CauseShedRetries || len(l.Spans(1, nil)) != 2 {
+		t.Fatalf("terminal-after-mark: dur=%v cause=%v spans=%v", dur, l.Cause(1), l.Spans(1, nil))
 	}
 }
 
 func TestLedgerNilAndOutOfRangeAreNoops(t *testing.T) {
 	var l *Ledger
-	l.Open(0, 1, PhaseCompute)
+	l.Mark(0, 1, PhaseCompute)
 	l.Mark(0, 2, PhaseCompute)
 	l.Close(0, 3, CauseDone)
-	l.Terminal(0, 1, 2, PhaseCompute, CauseDone)
 	l.Reset(4)
 	if l.Len() != 0 || l.Closed(0) || l.Cause(0) != CauseOpen {
 		t.Fatal("nil ledger must be inert")
@@ -110,8 +110,8 @@ func TestLedgerNilAndOutOfRangeAreNoops(t *testing.T) {
 	}
 
 	real := NewLedger(1)
-	real.Open(-1, 1, PhaseCompute) // out of range: ignored
-	real.Open(7, 1, PhaseCompute)
+	real.Mark(-1, 1, PhaseCompute) // out of range: ignored
+	real.Mark(7, 1, PhaseCompute)
 	real.Close(7, 2, CauseDone)
 	if real.Closed(7) {
 		t.Fatal("out-of-range position was recorded")
@@ -121,17 +121,17 @@ func TestLedgerNilAndOutOfRangeAreNoops(t *testing.T) {
 func TestLedgerResetReusesArena(t *testing.T) {
 	l := NewLedger(3)
 	for i := 0; i < 3; i++ {
-		l.Open(i, float64(i), PhaseQueueWait)
+		l.Mark(i, float64(i), PhaseQueueWait)
 		l.Close(i, float64(i)+1, CauseDone)
 	}
 	l.Reset(2)
 	if l.Len() != 2 {
 		t.Fatalf("Len after Reset = %d, want 2", l.Len())
 	}
-	if l.Closed(0) || l.Cause(0) != CauseOpen || !math.IsNaN(l.End(0)) {
+	if l.Closed(0) || l.Cause(0) != CauseOpen || len(l.Spans(0, nil)) != 0 {
 		t.Fatal("Reset leaked prior state")
 	}
-	l.Open(1, 10, PhaseCompute)
+	l.Mark(1, 10, PhaseCompute)
 	l.Close(1, 11, CauseDone)
 	var dur [NumPhases]float64
 	if !l.Durations(1, &dur) || dur[PhaseCompute] != 1 {
@@ -162,7 +162,7 @@ func TestPhaseAndCauseStrings(t *testing.T) {
 // end−start with zero rounding error, because spans share instants.
 func TestLedgerBigFloatConservation(t *testing.T) {
 	l := NewLedger(1)
-	l.Open(0, 0.1, PhaseQueueWait)
+	l.Mark(0, 0.1, PhaseQueueWait)
 	ts := []float64{0.1 + 1.0/3, 0.7, 1.0 / 0.7, 2.718281828, 3.14159}
 	phases := []Phase{PhaseCompute, PhasePreemptStall, PhaseCompute, PhaseRetryBackoff}
 	for i, p := range phases {
@@ -175,7 +175,7 @@ func TestLedgerBigFloatConservation(t *testing.T) {
 		d := new(big.Float).SetPrec(200).Sub(big.NewFloat(s.To), big.NewFloat(s.From))
 		sum.Add(sum, d)
 	}
-	want := new(big.Float).SetPrec(200).Sub(big.NewFloat(l.End(0)), big.NewFloat(l.Start(0)))
+	want := new(big.Float).SetPrec(200).Sub(big.NewFloat(ts[len(ts)-1]), big.NewFloat(0.1))
 	if sum.Cmp(want) != 0 {
 		t.Fatalf("Σ spans = %s, end-start = %s", sum.Text('g', 30), want.Text('g', 30))
 	}
@@ -203,7 +203,6 @@ func TestOccupancySpanFeedAndCloseHorizon(t *testing.T) {
 	o := NewOccupancy(8)
 	o.AddBusy(4, 30)
 	o.AddFaulted(2, 10)
-	o.AddReconfig(1, 5)
 	o.CloseHorizon(40)
 	if o.Horizon != 40 {
 		t.Fatalf("horizon = %d", o.Horizon)
@@ -256,7 +255,6 @@ func TestOccupancyDecisionsAndNil(t *testing.T) {
 	nilO.Interval(10, 1, 1, 1)
 	nilO.AddBusy(1, 1)
 	nilO.AddFaulted(1, 1)
-	nilO.AddReconfig(1, 1)
 	nilO.CloseHorizon(5)
 	nilO.PadTo(5)
 	nilO.Merge(o)
@@ -416,10 +414,9 @@ func TestNilAttribProbesZeroAllocs(t *testing.T) {
 	var o *Occupancy
 	var dur [NumPhases]float64
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.Open(0, 1, PhaseQueueWait)
+		l.Mark(0, 1, PhaseQueueWait)
 		l.Mark(0, 2, PhaseCompute)
 		l.Close(0, 3, CauseDone)
-		l.Terminal(0, 1, 2, PhaseQueueWait, CauseShedChip)
 		_ = l.Durations(0, &dur)
 		o.Interval(10, 1, 0, 0)
 		o.AddBusy(1, 1)
@@ -435,7 +432,7 @@ func TestWarmLedgerStampingZeroAllocs(t *testing.T) {
 	// Warm the mark arena past what one iteration appends, then Reset:
 	// steady-state stamping must reuse the capacity.
 	for i := 0; i < 8; i++ {
-		l.Open(i, 0, PhaseQueueWait)
+		l.Mark(i, 0, PhaseQueueWait)
 		l.Mark(i, 1, PhaseCompute)
 		l.Close(i, 2, CauseDone)
 	}
@@ -443,7 +440,7 @@ func TestWarmLedgerStampingZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.Reset(8)
 		for i := 0; i < 8; i++ {
-			l.Open(i, 0, PhaseQueueWait)
+			l.Mark(i, 0, PhaseQueueWait)
 			l.Mark(i, 1, PhaseCompute)
 			l.Close(i, 2, CauseDone)
 		}
@@ -461,15 +458,12 @@ func TestWarmLedgerStampingZeroAllocs(t *testing.T) {
 // telescoping still holds over the full chain.
 func TestLedgerReopen(t *testing.T) {
 	l := NewLedger(2)
-	l.Open(0, 1.0, PhaseAdmitWait)
+	l.Mark(0, 1.0, PhaseAdmitWait)
 	l.Mark(0, 1.5, PhaseBatchWait)
 	l.Close(0, 2.0, CauseDispatched)
 	l.Reopen(0, PhaseDrainMigrate)
 	if l.Closed(0) || l.Cause(0) != CauseOpen {
 		t.Fatal("Reopen left the record closed")
-	}
-	if p, ok := l.Current(0); !ok || p != PhaseDrainMigrate {
-		t.Fatalf("Current after Reopen = %v, want drain-migrate", p)
 	}
 	l.Close(0, 3.25, CauseShedDrain)
 	var dur [NumPhases]float64
@@ -487,10 +481,11 @@ func TestLedgerReopen(t *testing.T) {
 	}
 	// Reopen on a still-open record is a no-op; on an out-of-range
 	// position or nil ledger it must not panic.
-	l.Open(1, 0, PhaseCompute)
+	l.Mark(1, 0, PhaseCompute)
 	l.Reopen(1, PhaseDrainMigrate)
-	if p, _ := l.Current(1); p != PhaseCompute {
-		t.Fatal("Reopen of an open record changed its phase")
+	l.Close(1, 1, CauseDone)
+	if spans := l.Spans(1, nil); len(spans) != 1 || spans[0].Phase != PhaseCompute {
+		t.Fatalf("Reopen of an open record changed its phases: %v", spans)
 	}
 	l.Reopen(-1, PhaseDrainMigrate)
 	l.Reopen(99, PhaseDrainMigrate)

@@ -73,14 +73,6 @@ func NewFleet(chips int) *Fleet {
 	return &Fleet{chips: chips}
 }
 
-// Chips returns the slot count (0 on nil).
-func (f *Fleet) Chips() int {
-	if f == nil {
-		return 0
-	}
-	return f.chips
-}
-
 // Note records one transition. Nil-safe no-op.
 func (f *Fleet) Note(t float64, chip int, k FleetEventKind) {
 	if f == nil || chip < 0 || chip >= f.chips {

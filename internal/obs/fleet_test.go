@@ -112,7 +112,7 @@ func TestFleetNoteBounds(t *testing.T) {
 	}
 	var nilF *Fleet
 	nilF.Note(0, 0, FleetBoot) // must not panic
-	if nilF.Chips() != 0 || nilF.Events() != nil || nilF.Validate() != nil {
+	if nilF.Events() != nil || nilF.Validate() != nil {
 		t.Fatal("nil fleet accessors not inert")
 	}
 }

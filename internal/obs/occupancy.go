@@ -103,18 +103,9 @@ func (o *Occupancy) AddFaulted(units, cyc int64) {
 	o.Faulted += units * cyc
 }
 
-// AddReconfig accounts units reconfiguring for cyc wall-cycles without
-// advancing the horizon. Pair with CloseHorizon.
-func (o *Occupancy) AddReconfig(units, cyc int64) {
-	if o == nil || cyc <= 0 {
-		return
-	}
-	o.Reconfig += units * cyc
-}
-
 // CloseHorizon extends the horizon by cyc wall-cycles and re-derives
 // Idle as the conservation remainder, closing out a span-feed
-// (AddBusy/AddFaulted/AddReconfig) accounting pass.
+// (AddBusy/AddFaulted) accounting pass.
 func (o *Occupancy) CloseHorizon(cyc int64) {
 	if o == nil {
 		return

@@ -13,8 +13,6 @@
 package prema
 
 import (
-	"fmt"
-
 	"planaria/internal/arch"
 	"planaria/internal/obs"
 	"planaria/internal/sim"
@@ -180,7 +178,7 @@ func (p *Token) decide(now float64, tasks []*sim.Task, total int) int {
 		if p.haveDisp {
 			p.cSwitches.Inc()
 			if p.tracer != nil {
-				p.tracer.Instant("prema", fmt.Sprintf("dispatch task %d", bt.ID), now,
+				p.tracer.Instant("prema", obs.Fmt("dispatch task %d").Int(bt.ID), now,
 					obs.Str("model", bt.Req.Model),
 					obs.Num("token", tok[best]),
 					obs.Num("max_token", maxTok))

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 
 	"planaria/internal/arch"
@@ -226,7 +225,7 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		if !fit {
 			verdict = "unfit"
 		}
-		s.tracer.Instant("sched", fmt.Sprintf("elastic: %s %d tasks", verdict, len(tasks)), now,
+		s.tracer.Instant("sched", obs.Fmt("elastic: %s %d tasks").Str(verdict).Int(len(tasks)), now,
 			obs.Num("tasks", float64(len(tasks))),
 			obs.Num("demand", float64(demand)),
 			obs.Num("subarrays", float64(total)))

@@ -9,7 +9,6 @@ package sched
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"planaria/internal/arch"
@@ -221,7 +220,7 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		s.cFit.Inc()
 		s.occ.NoteDecision(true, int64(e), int64(total))
 		if s.tracer != nil {
-			s.tracer.Instant("sched", fmt.Sprintf("fission: fit %d tasks", 1), now,
+			s.tracer.Instant("sched", obs.Fmt("fission: fit %d tasks").Int(1), now,
 				obs.Num("tasks", 1),
 				obs.Num("demand", float64(e)),
 				obs.Num("subarrays", float64(total)))
@@ -247,7 +246,7 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		s.cFit.Inc()
 		s.occ.NoteDecision(true, int64(sum), int64(total))
 		if s.tracer != nil {
-			s.tracer.Instant("sched", fmt.Sprintf("fission: fit %d tasks", len(tasks)), now,
+			s.tracer.Instant("sched", obs.Fmt("fission: fit %d tasks").Int(len(tasks)), now,
 				obs.Num("tasks", float64(len(tasks))),
 				obs.Num("demand", float64(sum)),
 				obs.Num("subarrays", float64(total)))
@@ -258,7 +257,7 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 	s.cUnfit.Inc()
 	s.occ.NoteDecision(false, int64(sum), int64(total))
 	if s.tracer != nil {
-		s.tracer.Instant("sched", fmt.Sprintf("fission: unfit %d tasks", len(tasks)), now,
+		s.tracer.Instant("sched", obs.Fmt("fission: unfit %d tasks").Int(len(tasks)), now,
 			obs.Num("tasks", float64(len(tasks))),
 			obs.Num("demand", float64(sum)),
 			obs.Num("subarrays", float64(total)))

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"planaria/internal/obs"
 )
@@ -30,7 +28,8 @@ type views struct {
 
 // attach binds node n's sinks to the run: the registry handles, the
 // ledger sized to the input so records are addressed by the positions
-// the Outcome uses, the occupancy unit count, and the trace's reserve.
+// the Outcome uses, the occupancy unit count, the trace's reserve and
+// the timeline's per-request track handles.
 //
 //perf:cold per-run setup: runs once before the event loop
 func (r *run) attach(n *Node) {
@@ -54,22 +53,14 @@ func (r *run) attach(n *Node) {
 	r.led.Reset(len(r.reqs))
 	r.occ.SetUnits(int64(r.total))
 	// A typical request contributes arrival + alloc + finish plus a queue
-	// sample to the trace, and a handful of counter samples plus its span
-	// to the timeline; reserving per request keeps steady-state tracing
-	// off the allocator.
+	// sample to the trace; reserving per request keeps steady-state
+	// tracing off the allocator.
 	r.trace.Reserve(4 * len(r.reqs))
 	if r.tracer != nil {
-		r.tracer.Reserve(timelinePerRequest * len(r.reqs))
 		r.tracks = slices.Grow(r.tracks[:0], len(r.reqs))[:len(r.reqs)]
 		clear(r.tracks)
 	}
 }
-
-// timelinePerRequest bounds the timeline events a request adds in a
-// shallow-queue run (about five, measured on Scenario A): its allocation
-// and completion samples and span, and its share of the queue and chip
-// counters sampled at each scheduling event.
-const timelinePerRequest = 6
 
 // emit folds one engine event into every attached view.
 func (r *run) emit(e Event) {
@@ -160,20 +151,20 @@ func (r *run) timeline(e *Event) {
 	tb := r.tracer
 	switch e.Kind {
 	case EvFault:
-		dir := "lands"
+		name := obs.Fmt("%s fault lands on unit %d")
 		if e.Up {
-			dir = "repairs"
+			name = obs.Fmt("%s fault repairs on unit %d")
 		}
-		tb.Instant("faults", e.Model+" fault "+dir+" on unit "+strconv.Itoa(e.Unit), e.Time,
+		tb.Instant("faults", name.Str(e.Model).Int(e.Unit), e.Time,
 			obs.Str("kind", e.Model), obs.Num("unit", float64(e.Unit)))
 	case evAlive:
 		tb.Counter("chip", "alive_subarrays", e.Time, float64(e.Alloc))
 	case EvKill:
-		tb.Instant("faults", fmt.Sprintf("kill task %d (attempt %d)", e.Task, e.Attempt), e.Time,
+		tb.Instant("faults", obs.Fmt("kill task %d (attempt %d)").Int(e.Task).Int(e.Attempt), e.Time,
 			obs.Str("model", e.Model), obs.Num("attempt", float64(e.Attempt)))
 		tb.CounterOn(r.taskTrack(e), "subarrays", e.Time, 0)
 	case EvRefission, EvPreempt:
-		tb.Instant("sched", fmt.Sprintf("%s task %d -> %d", e.Kind, e.Task, e.Alloc), e.Time,
+		tb.Instant("sched", obs.Fmt("%s task %d -> %d").Str(eventKindNames[e.Kind]).Int(e.Task).Int(e.Alloc), e.Time,
 			obs.Str("model", e.Model), obs.Num("subarrays", float64(e.Alloc)))
 		tb.CounterOn(r.taskTrack(e), "subarrays", e.Time, float64(e.Alloc))
 	case EvAlloc:
@@ -187,7 +178,7 @@ func (r *run) timeline(e *Event) {
 		q := &r.reqs[e.Pos]
 		lat := e.Time - q.Arrival
 		track := r.taskTrack(e)
-		tb.SpanOn(track, fmt.Sprintf("req %d %s", e.Task, e.Model), q.Arrival, e.Time,
+		tb.SpanOn(track, obs.Fmt("req %d %s").Int(e.Task).Str(e.Model), q.Arrival, e.Time,
 			obs.Str("model", e.Model),
 			obs.Num("priority", float64(q.Priority)),
 			obs.Num("latency_ms", lat*1e3),
@@ -197,12 +188,12 @@ func (r *run) timeline(e *Event) {
 	}
 }
 
-// taskTrack returns the timeline track of e's request, interning it on
-// the request's first sample. The name is zero-padded so Perfetto's
+// taskTrack returns the timeline track of e's request, registering it
+// on the request's first sample. The name is zero-padded so Perfetto's
 // lexicographic track ordering matches request IDs.
 func (r *run) taskTrack(e *Event) int {
 	if r.tracks[e.Pos] == 0 {
-		r.tracks[e.Pos] = int32(r.tracer.Track(fmt.Sprintf("task %03d", e.Task))) + 1
+		r.tracks[e.Pos] = int32(r.tracer.Track(obs.Fmt("task %03d").Int(e.Task))) + 1
 	}
 	return int(r.tracks[e.Pos]) - 1
 }
@@ -213,7 +204,7 @@ func (r *run) taskTrack(e *Event) int {
 func (r *run) attribute(e *Event) {
 	switch {
 	case e.Kind == EvArrival:
-		r.led.Open(int(e.Pos), e.Time, obs.PhaseQueueWait)
+		r.led.Mark(int(e.Pos), e.Time, obs.PhaseQueueWait)
 	case e.Kind == evPhase:
 		r.led.Mark(int(e.Pos), e.Time, e.Phase)
 	case e.Cause != obs.CauseOpen:

@@ -607,10 +607,13 @@ func (g *Grid) Run(maxCycles int64) (int64, error) {
 		// the spatial co-location picture the fission architecture exists
 		// to create.
 		for id, cl := range g.clusters {
-			name := fmt.Sprintf("cluster %d: %dx%dx%d", id, cl.m, cl.k, cl.n)
+			// Four operands exceed a name's two: the cluster's label is
+			// formatted once and shared by its band spans.
+			//perf:alloc-ok once per cluster after the cycle loop
+			name := obs.Lit(fmt.Sprintf("cluster %d: %dx%dx%d", id, cl.m, cl.k, cl.n))
 			for r := cl.spec.BandRow; r < cl.spec.BandRow+cl.spec.H; r++ {
 				for c := cl.spec.BandCol; c < cl.spec.BandCol+cl.spec.W; c++ {
-					g.obsTB.Span(fmt.Sprintf("band %d,%d", r, c), name,
+					g.obsTB.SpanOn(g.obsTB.Track(obs.Fmt("band %d,%d").Int(r).Int(c)), name,
 						0, float64(cl.lastOut+1),
 						obs.Num("cluster", float64(id)),
 						obs.Num("drain_cycle", float64(cl.lastOut)))

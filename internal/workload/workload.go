@@ -213,7 +213,7 @@ func NewChecker(reqs []Request) Checker { return Checker{reqs: reqs} }
 // ID exceeds its predecessor's. It is small enough to inline.
 func (c *Checker) Clean(i int) bool {
 	r := &c.reqs[i]
-	return okTime(r.Arrival) && r.Deadline == r.Deadline && okTime(r.Work) &&
+	return okTime(r.Arrival) && r.Deadline == r.Deadline && okTime(r.Work) && okPriority(r.Priority) &&
 		c.seen == nil && (i == 0 || r.ID > c.reqs[i-1].ID)
 }
 
@@ -245,6 +245,10 @@ func (c *Checker) Check(i int) error {
 // time and a Work multiplier; NaN and ±Inf fail it.
 func okTime(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
+// okPriority reports whether p fits an int32, the width of the cluster
+// front door's priority column.
+func okPriority(p int) bool { return int(int32(p)) == p }
+
 // badField names r's first malformed numeric field and what is wrong
 // with it, or returns empty strings.
 func badField(r *Request) (field, problem string) {
@@ -255,6 +259,8 @@ func badField(r *Request) (field, problem string) {
 		return "Deadline", "is NaN"
 	case !okTime(r.Work):
 		return "Work", fmt.Sprintf("%g is not a finite multiplier ≥ 0", r.Work)
+	case !okPriority(r.Priority):
+		return "Priority", fmt.Sprintf("%d is outside the int32 range", r.Priority)
 	}
 	return "", ""
 }
