@@ -43,11 +43,11 @@
 // The chaos, cluster, attrib and autoscale experiments start from the
 // experiments package's Default*Options and override only the flags
 // given on the command line. The paper's tables and figures read
-// -requests, -instances and -seed with the defaults below, which match
-// EXPERIMENTS.md. Profiling flags (-cpuprofile, -memprofile,
-// -phasestats) live here in the CLI: the simulation packages never read
-// the wall clock (enforced by planaria-vet), so all wall-time accounting
-// stays in this layer.
+// -requests, -instances and -seed, whose defaults are
+// metrics.DefaultOptions and match EXPERIMENTS.md. Profiling flags
+// (-cpuprofile, -memprofile, -phasestats) live here in the CLI: the
+// simulation packages never read the wall clock (enforced by
+// planaria-vet), so all wall-time accounting stays in this layer.
 package main
 
 import (
@@ -155,10 +155,11 @@ func main() {
 
 func run(args []string) int {
 	var f cli
+	defaults := metrics.DefaultOptions()
 	fs := flag.NewFlagSet("planaria", flag.ContinueOnError)
-	fs.IntVar(&f.requests, "requests", 400, "requests per workload instance (chaos, cluster and attrib keep their own default unless given)")
-	fs.IntVar(&f.instances, "instances", 3, "workload instances (seeds) per evaluation point (chaos and cluster keep their own default unless given)")
-	fs.Int64Var(&f.seed, "seed", 1, "base random seed (chaos, cluster and attrib keep their own default unless given)")
+	fs.IntVar(&f.requests, "requests", defaults.Requests, "requests per workload instance (chaos, cluster and attrib keep their own default unless given)")
+	fs.IntVar(&f.instances, "instances", defaults.Instances, "workload instances (seeds) per evaluation point (chaos and cluster keep their own default unless given)")
+	fs.Int64Var(&f.seed, "seed", defaults.Seed, "base random seed (chaos, cluster and attrib keep their own default unless given)")
 	fs.Float64Var(&f.rate, "rate", 100, "fixed arrival rate (QPS) for fig16, trace and attrib (attrib keeps its own default unless given)")
 	profile := fs.String("profile", "", "print the per-layer compiled profile of a model (e.g. -profile ResNet-50)")
 	profAlloc := fs.Int("alloc", 16, "subarray allocation for -profile")

@@ -61,6 +61,7 @@ func (p *Pass) checkHotAlloc(anns annotations, decl *ast.FuncDecl, fact hotFact)
 	loops := loopSpans(decl.Body)
 	reuse := reuseEvidence(p.Info, decl)
 	addrTaken := map[*ast.CompositeLit]bool{}
+	chained := map[*ast.BinaryExpr]bool{}
 
 	emit := func(n ast.Node, format string, args []any) {
 		if p.exemptPerf(anns, n, "alloc-ok") {
@@ -116,8 +117,18 @@ func (p *Pass) checkHotAlloc(anns annotations, decl *ast.FuncDecl, fact hotFact)
 			p.checkHotCall(report, formats, loops, reuse, decl, e)
 
 		case *ast.BinaryExpr:
-			if e.Op == token.ADD && isStringType(p.Info.TypeOf(e)) {
+			if e.Op != token.ADD {
+				return true
+			}
+			if isStringType(p.Info.TypeOf(e)) && !chained[e] {
 				formats(e, "string concatenation allocates")
+			}
+			// One finding per chain: a + b + c nests (a + b) + c, and both
+			// start at a's position. An operand + has e's type.
+			for _, op := range [...]ast.Expr{e.X, e.Y} {
+				if b, ok := unparen(op).(*ast.BinaryExpr); ok && b.Op == token.ADD {
+					chained[b] = true
+				}
 			}
 
 		case *ast.AssignStmt:

@@ -75,8 +75,9 @@ func appendReuse(evts []event, out []int) []int {
 
 //perf:hot fixture steady state: string building allocates
 func concat(a, b string) string {
-	s := a + b // want `string concatenation allocates in hot function concat`
-	s += a     // want `string \+= allocates in hot function concat`
+	s := a + b                          // want `string concatenation allocates in hot function concat`
+	s += a                              // want `string \+= allocates in hot function concat`
+	s = a + " x" + strconv.Itoa(len(b)) // want `string concatenation allocates in hot function concat` `strconv\.Itoa formats \(and allocates\) in hot function concat`
 	return s
 }
 

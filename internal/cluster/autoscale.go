@@ -111,7 +111,7 @@ type ScaleController interface {
 // Upward it is proportional — desired = ceil(backlog / TargetS) — so a
 // flash crowd that multiplies the backlog books several chips in a
 // single tick rather than one per tick; an admission-debt trip wire
-// (MaxWaitS > DebtS) forces at least one extra chip even while backlog
+// (MaxWaitS > debtS) forces at least one extra chip even while backlog
 // estimates lag. Downward it waits HoldTicks consecutive calm ticks and
 // then releases one chip, so a transient lull inside a crowd cannot
 // trigger a drain that the next spike regrets.
@@ -119,14 +119,15 @@ type Hysteresis struct {
 	// TargetS is the per-fleet backlog the controller sizes for, in
 	// seconds of estimated work per chip (default 0.25).
 	TargetS float64
-	// DebtS is the admission-wait trip wire in seconds (default 0.05).
-	DebtS float64
 	// HoldTicks is the calm-tick count before shrinking by one
 	// (default 3).
 	HoldTicks int
 
 	calm int
 }
+
+// debtS is Hysteresis's admission-wait trip wire in seconds.
+const debtS = 0.05
 
 // Name names the controller in artifacts.
 func (h *Hysteresis) Name() string { return "hysteresis" }
@@ -137,10 +138,6 @@ func (h *Hysteresis) Desired(s ScaleSignal) int {
 	if target <= 0 {
 		target = 0.25
 	}
-	debt := h.DebtS
-	if debt <= 0 {
-		debt = 0.05
-	}
 	hold := h.HoldTicks
 	if hold <= 0 {
 		hold = 3
@@ -150,7 +147,7 @@ func (h *Hysteresis) Desired(s ScaleSignal) int {
 		want = 1
 	}
 	effective := s.Active + s.Booting
-	if s.MaxWaitS > debt && want <= effective {
+	if s.MaxWaitS > debtS && want <= effective {
 		want = effective + 1
 	}
 	if want >= effective {

@@ -60,7 +60,7 @@ func burstReqs(n int, qps, qos float64, seed int64, burstAt, burstLen float64, b
 }
 
 func TestHysteresisController(t *testing.T) {
-	h := &Hysteresis{TargetS: 0.1, DebtS: 0.05, HoldTicks: 2}
+	h := &Hysteresis{TargetS: 0.1, HoldTicks: 2}
 	// Proportional up: a backlog of 0.95s at 0.1s/chip wants 10 chips in
 	// one tick, not one-per-tick creep.
 	if got := h.Desired(ScaleSignal{Active: 2, BacklogS: 0.95}); got != 10 {
@@ -82,6 +82,14 @@ func TestHysteresisController(t *testing.T) {
 	h.Desired(ScaleSignal{Active: 4, BacklogS: 10})   // reset
 	if got := h.Desired(ScaleSignal{Active: 4, BacklogS: 0.01}); got != 4 {
 		t.Fatalf("calm streak must reset after load, got %d", got)
+	}
+	// The debt trip wire is strict and sits at exactly 50 ms of wait.
+	h = &Hysteresis{TargetS: 0.1, HoldTicks: 2}
+	if got := h.Desired(ScaleSignal{Active: 2, MaxWaitS: 0.05}); got != 2 {
+		t.Fatalf("wait at the trip wire: want 2 chips, got %d", got)
+	}
+	if got := h.Desired(ScaleSignal{Active: 2, MaxWaitS: math.Nextafter(0.05, 1)}); got != 3 {
+		t.Fatalf("wait one ULP past the trip wire: want 3 chips, got %d", got)
 	}
 }
 

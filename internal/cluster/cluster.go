@@ -41,9 +41,9 @@ import (
 	"planaria/internal/workload"
 )
 
-// DefaultBatchAlpha is the marginal cost of each extra fused inference:
-// batch k costs 1 + α·(k−1) single runs.
-const DefaultBatchAlpha = 0.35
+// BatchAlpha is the marginal cost of each extra fused inference: batch k
+// costs 1 + α·(k−1) single runs.
+const BatchAlpha = 0.35
 
 // Config describes one cluster serving run.
 type Config struct {
@@ -61,11 +61,8 @@ type Config struct {
 	// at its admit instant, untouched).
 	BatchWindow float64
 	// MaxBatch caps a batch's size; reaching it closes the window early.
-	// <= 0 means unbounded.
+	// <= 0 means unbounded. A batch's work follows BatchAlpha.
 	MaxBatch int
-	// BatchAlpha is the marginal batched-inference cost; 0 means
-	// DefaultBatchAlpha, negative means free batching (cost 1).
-	BatchAlpha float64
 
 	// Admission maps QoS level name → token bucket. Nil or empty
 	// disables admission control. Levels without a bucket fall back to
@@ -372,7 +369,6 @@ type run struct {
 	total    int // subarrays per chip
 	batching bool
 	maxBatch int
-	alpha    float64
 
 	col          columns
 	firstArrival float64
@@ -527,12 +523,6 @@ func (r *run) start() error {
 	r.maxBatch = cfg.MaxBatch
 	if r.maxBatch <= 0 {
 		r.maxBatch = math.MaxInt32
-	}
-	switch r.alpha = cfg.BatchAlpha; {
-	case r.alpha == 0:
-		r.alpha = DefaultBatchAlpha
-	case r.alpha < 0:
-		r.alpha = 0
 	}
 	if cfg.Scale != nil {
 		r.asc = newAutoscaler(cfg.Scale, cfg.Chips)
@@ -829,7 +819,7 @@ func (r *run) dispatch(tD float64, first, k int, model int32) {
 			prio = max(prio, col.prios[m])
 		}
 		if k > 1 {
-			mw *= 1 + r.alpha*float64(k-1)
+			mw *= 1 + BatchAlpha*float64(k-1)
 			work = mw
 		}
 	}

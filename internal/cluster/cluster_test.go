@@ -317,8 +317,8 @@ func TestBatchingGroupsWithinWindow(t *testing.T) {
 		t.Fatalf("chip got %d dispatch groups, want 3", len(chip.Requests))
 	}
 	lead := chip.Requests[0]
-	if lead.ID != 0 || lead.Work != 1+DefaultBatchAlpha {
-		t.Errorf("fused leader = ID %d Work %g, want ID 0 Work %g", lead.ID, lead.Work, 1+DefaultBatchAlpha)
+	if lead.ID != 0 || lead.Work != 1.35 {
+		t.Errorf("fused leader = ID %d Work %g, want ID 0 Work 1.35", lead.ID, lead.Work)
 	}
 	if lead.Arrival != 1e-3 {
 		t.Errorf("fused batch dispatched at %g, want window close 1e-3", lead.Arrival)
@@ -362,6 +362,25 @@ func TestBatchingMaxBatchClosesEarly(t *testing.T) {
 	// A full batch closes at its filling arrival, not the window end.
 	if got := out.PerChip[0].Requests[0].Arrival; got != 1e-5 {
 		t.Errorf("first pair dispatched at %g, want 1e-5 (second member's arrival)", got)
+	}
+}
+
+// TestBatchWorkOfThree pins the batch cost model by value: three fused
+// inferences cost 1 + 0.35·2 = 1.7 single runs, exactly.
+func TestBatchWorkOfThree(t *testing.T) {
+	sys := spatialSystem(t)
+	var reqs []workload.Request
+	for i := 0; i < 3; i++ {
+		at := float64(i) * 1e-5
+		reqs = append(reqs, workload.Request{ID: i, Model: "toy-a", Domain: "classification",
+			Arrival: at, Priority: 5, QoS: 1, Deadline: at + 1})
+	}
+	out, err := Run(Config{System: sys, Chips: 1, BatchWindow: 1e-3}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.PerChip[0].Requests; len(got) != 1 || got[0].Work != 1.7 {
+		t.Fatalf("dispatch groups %+v, want one group of Work 1.7", got)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // scheduler. The wakeup floor scales with the toy models' microsecond
 // run times (the production default targets millisecond serving
 // models), so re-fission windows actually open inside a test stream.
-func elasticSystem(t testing.TB, disabled bool) metrics.System {
+func elasticSystem(t testing.TB) metrics.System {
 	t.Helper()
 	cfg := arch.Planaria()
 	progs := compilePrograms(t, cfg)
@@ -34,7 +34,6 @@ func elasticSystem(t testing.TB, disabled bool) metrics.System {
 		Params: energy.Default(),
 		NewPolicy: func() sim.Policy {
 			el := sched.NewElastic(cfg)
-			el.Disabled = disabled
 			el.MinIntervalS = interval
 			return el
 		},
@@ -51,57 +50,13 @@ func elasticReqs(t testing.TB, sys metrics.System, n int, seed int64) []workload
 	return genReqs(n, 2/iso, 12*iso, seed)
 }
 
-// TestElasticDisabledClusterConformance pins the cluster-level half of
-// the conformance contract: a disabled elastic system produces byte-
-// identical chip artifacts (outcome, trace, metrics, timeline) and
-// attribution reports to the plain spatial system it wraps.
-func TestElasticDisabledClusterConformance(t *testing.T) {
-	spatial := spatialSystem(t)
-	elastic := elasticSystem(t, true)
-	reqs := elasticReqs(t, spatial, 60, 42)
-
-	gotS, outS := clusterArtifacts(t, spatial, "least-work", sim.ShedNone, reqs)
-	gotE, outE := clusterArtifacts(t, elastic, "least-work", sim.ShedNone, reqs)
-	if gotS != gotE {
-		t.Fatalf("disabled elastic chip artifacts differ from spatial\n--- spatial\n%.2000s\n--- elastic\n%.2000s", gotS, gotE)
-	}
-	if outE.PerChip[0].Outcome.Refissions != 0 {
-		t.Fatalf("disabled elastic recorded %d refissions", outE.PerChip[0].Outcome.Refissions)
-	}
-	for i := range reqs {
-		if outS.Finishes[i] != outE.Finishes[i] {
-			t.Fatalf("finish[%d]: spatial %x, disabled elastic %x", i, outS.Finishes[i], outE.Finishes[i])
-		}
-	}
-
-	// Attribution half: the ledgers must agree span for span.
-	report := func(sys metrics.System) string {
-		out, err := Run(Config{System: sys, Chips: 2, Policy: "least-work", Attrib: true}, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := out.AttribReport(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
-	if a, b := report(spatial), report(elastic); a != b {
-		t.Fatalf("disabled elastic attribution report diverged:\n%s\n---\n%s", a, b)
-	}
-}
-
 // TestElasticClusterConservation runs the elastic policy hot through the
 // full cluster stack and checks every conservation identity survives
 // re-fission: terminal-state partition, per-request ledger telescoping
 // (Σ spans == end − start, bit-exact), and the integer occupancy
 // partition busy+idle+faulted+reconfig == units × horizon.
 func TestElasticClusterConservation(t *testing.T) {
-	sys := elasticSystem(t, false)
+	sys := elasticSystem(t)
 	reqs := elasticReqs(t, sys, 120, 9)
 	cfg := Config{System: sys, Chips: 2, Policy: "least-work", Attrib: true}
 	out, err := Run(cfg, reqs)
@@ -165,7 +120,7 @@ func TestElasticClusterConservation(t *testing.T) {
 // TestElasticClusterDeterministic pins two-run byte-identity of the full
 // elastic-on artifact set, including the EvRefission trace timeline.
 func TestElasticClusterDeterministic(t *testing.T) {
-	sys := elasticSystem(t, false)
+	sys := elasticSystem(t)
 	reqs := elasticReqs(t, sys, 80, 23)
 	got1, out1 := clusterArtifacts(t, sys, "least-work", sim.ShedNone, reqs)
 	got2, _ := clusterArtifacts(t, sys, "least-work", sim.ShedNone, reqs)

@@ -245,7 +245,7 @@ func checkDispatch(t *testing.T, cfg Config, reqs []workload.Request, out *Outco
 			}
 			work := lr.Work
 			if k > 1 {
-				work = cmp.Or(lr.Work, 1) * (1 + DefaultBatchAlpha*float64(k-1))
+				work = cmp.Or(lr.Work, 1) * (1 + BatchAlpha*float64(k-1))
 			}
 			if got.Work != work {
 				t.Fatalf("chip %d request %d: work %g for %d members led by work %g, want %g", c, p, got.Work, k, lr.Work, work)

@@ -540,16 +540,6 @@ func (b *Builder) SetShape(h, w, c int) *Builder {
 	return b
 }
 
-// GrowChannels adds to the current channel count without emitting a layer,
-// modelling a concatenation with a serialized branch.
-func (b *Builder) GrowChannels(dc int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	b.c += dc
-	return b
-}
-
 // Build finalizes and validates the network.
 func (b *Builder) Build() (*Network, error) {
 	if b.err != nil {

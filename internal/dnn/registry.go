@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -63,14 +62,6 @@ func All() []*Network {
 		nets = append(nets, MustByName(name))
 	}
 	return nets
-}
-
-// SortedNames returns the benchmark names in lexicographic order, for
-// deterministic table output.
-func SortedNames() []string {
-	s := append([]string(nil), Names...)
-	sort.Strings(s)
-	return s
 }
 
 // HasDepthwise reports whether the network contains depthwise

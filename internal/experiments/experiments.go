@@ -44,7 +44,7 @@ type Suite struct {
 // NewSuite compiles all nine benchmark models for both systems. The
 // (model, system) compilations are independent and run across a bounded
 // worker pool; the process-wide cache deduplicates concurrent misses.
-// Options follow the evaluation defaults: 400-request instances, 3 seeds.
+// Options follow the evaluation defaults (metrics.DefaultOptions).
 func NewSuite() (*Suite, error) {
 	pl := arch.Planaria()
 	mono := arch.Monolithic()
@@ -88,7 +88,7 @@ func NewSuite() (*Suite, error) {
 			Name: "Planaria-Elastic", Cfg: pl, Programs: progsP, Params: energy.Default(),
 			NewPolicy: func() sim.Policy { return sched.NewElastic(pl) },
 		},
-		Opt:        metrics.Options{Requests: 400, Instances: 3, Seed: 1},
+		Opt:        metrics.DefaultOptions(),
 		throughput: make(map[string][2]float64),
 	}, nil
 }

@@ -48,9 +48,10 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions balances precision against simulation cost.
+// DefaultOptions returns the evaluation defaults: 400-request
+// instances, 3 seeds, base seed 1.
 func DefaultOptions() Options {
-	return Options{Requests: 60, Instances: 5, Seed: 1}
+	return Options{Requests: 400, Instances: 3, Seed: 1}
 }
 
 // Aggregate summarizes one evaluation point (system × scenario × QoS ×

@@ -11,10 +11,10 @@ import (
 // refToken is Token's token accounting as it stood before the stamped
 // single map: three maps and a sorted stale-ID sweep per round. Its
 // decide is the old one verbatim, minus the observability probes.
-// FuzzTokenDecide checks Token against it.
+// FuzzTokenDecide checks Token against it. The candidate threshold is
+// written out as the evaluation's 90% rather than read from the policy,
+// so the reference checks the policy's constant instead of copying it.
 type refToken struct {
-	CandidateFraction float64
-
 	tokens map[int]float64
 	last   map[int]float64
 	live   map[int]bool
@@ -61,7 +61,7 @@ func (p *refToken) decide(now float64, tasks []*sim.Task, total int) int {
 	best := -1
 	bestRem := int64(0)
 	for i, t := range tasks {
-		if p.tokens[t.ID] < p.CandidateFraction*maxTok {
+		if p.tokens[t.ID] < 0.9*maxTok {
 			continue
 		}
 		rem := t.RemainingCycles(total)
@@ -100,8 +100,7 @@ func FuzzTokenDecide(f *testing.F) {
 			pool[id] = mkTask(id, 1, prog)
 		}
 		got := NewToken(cfg)
-		want := &refToken{CandidateFraction: got.CandidateFraction,
-			tokens: make(map[int]float64), last: make(map[int]float64)}
+		want := &refToken{tokens: make(map[int]float64), last: make(map[int]float64)}
 		now := 0.0
 		for round := 0; len(data) > 0 && round < 64; round++ {
 			// Steps of 0 to 0.3 ms: zero steps give equal waits.

@@ -29,12 +29,6 @@ import (
 // uniform derate leaves the shortest-estimated-job order unchanged.
 type Token struct {
 	Cfg arch.Config
-	// CandidateFraction: tasks with token ≥ CandidateFraction × max-token
-	// are candidates (1.0 = strict maximum only).
-	CandidateFraction float64
-	// SchedulingQuantum bounds how long a decision stands before tokens
-	// are re-evaluated.
-	SchedulingQuantum float64
 
 	// state holds each task's token by value, stamped with the last round
 	// that saw the task; round counts decide invocations.
@@ -61,15 +55,19 @@ type tokenState struct {
 	round uint64
 }
 
-// NewToken returns the PREMA policy with the defaults used in the
-// evaluation: a 90% candidate threshold and a 500 µs quantum.
+// The policy constants used in the evaluation.
+const (
+	// candidateFraction: tasks with token ≥ candidateFraction × max-token
+	// are candidates (1.0 would be the strict maximum only).
+	candidateFraction = 0.9
+	// schedulingQuantum bounds how long a decision stands before tokens
+	// are re-evaluated, in seconds.
+	schedulingQuantum = 500e-6
+)
+
+// NewToken returns the PREMA policy for a hardware configuration.
 func NewToken(cfg arch.Config) *Token {
-	return &Token{
-		Cfg:               cfg,
-		CandidateFraction: 0.9,
-		SchedulingQuantum: 500e-6,
-		state:             make(map[int]tokenState),
-	}
+	return &Token{Cfg: cfg, state: make(map[int]tokenState)}
 }
 
 // Name implements sim.Policy.
@@ -88,7 +86,7 @@ func (p *Token) SetObserver(o *obs.Observer) {
 }
 
 // Quantum implements sim.Policy.
-func (p *Token) Quantum() float64 { return p.SchedulingQuantum }
+func (p *Token) Quantum() float64 { return schedulingQuantum }
 
 // SetHealth implements sim.HealthAware. The policy ignores the mask: see
 // the Token doc comment.
@@ -149,7 +147,7 @@ func (p *Token) decide(now float64, tasks []*sim.Task, total int) int {
 		}
 	}
 
-	// Candidate set: tokens within CandidateFraction of the maximum.
+	// Candidate set: tokens within candidateFraction of the maximum.
 	maxTok := 0.0
 	for _, v := range tok {
 		if v > maxTok {
@@ -159,7 +157,7 @@ func (p *Token) decide(now float64, tasks []*sim.Task, total int) int {
 	best := -1
 	bestRem := int64(0)
 	for i, t := range tasks {
-		if tok[i] < p.CandidateFraction*maxTok {
+		if tok[i] < candidateFraction*maxTok {
 			continue
 		}
 		rem := t.RemainingCycles(total)
@@ -200,9 +198,3 @@ var _ sim.Policy = (*Token)(nil)
 var _ sim.SliceAllocator = (*Token)(nil)
 
 var _ sim.HealthAware = (*Token)(nil)
-
-// Isolated returns the task's isolated execution time on the monolithic
-// accelerator, used by the fairness metric.
-func Isolated(t *sim.Task, cfg arch.Config) float64 {
-	return cfg.Seconds(t.Prog.Table(cfg.NumSubarrays()).TotalCycles)
-}

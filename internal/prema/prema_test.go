@@ -109,9 +109,11 @@ func TestFinishedTasksForgotten(t *testing.T) {
 	}
 }
 
+// TestQuantumPositive pins the token re-evaluation quantum by value: no
+// golden moves when it moves by one ULP.
 func TestQuantumPositive(t *testing.T) {
-	if NewToken(arch.Monolithic()).Quantum() <= 0 {
-		t.Fatal("PREMA needs a positive scheduling quantum for token re-evaluation")
+	if q := NewToken(arch.Monolithic()).Quantum(); q != 500e-6 {
+		t.Fatalf("PREMA scheduling quantum = %g, want 500 µs", q)
 	}
 }
 

@@ -105,18 +105,7 @@ func (e *EqualShare) Quantum() float64 { return 0 }
 // Allocate implements sim.Policy: floor(total/n) each, remainder to the
 // oldest tasks; when tasks outnumber subarrays the newest wait.
 func (e *EqualShare) Allocate(now float64, tasks []*sim.Task, total int) map[int]int {
-	if len(tasks) == 0 {
-		return nil
-	}
-	dst := make([]int, len(tasks))
-	e.AllocateInto(now, tasks, total, dst)
-	alloc := make(map[int]int, len(tasks))
-	for i, t := range tasks {
-		if dst[i] > 0 {
-			alloc[t.ID] = dst[i]
-		}
-	}
-	return alloc
+	return sim.AllocMap(e, now, tasks, total)
 }
 
 // AllocateInto implements sim.SliceAllocator: the same even split written

@@ -15,25 +15,12 @@ import (
 // deadline at the current allocation — and re-splits the chip at the
 // next tile boundary, shrinking tasks that are beating their SLA to
 // absorb an arrival and growing starved tasks into freed subarrays,
-// instead of queueing, shedding, or fully preempting. With Disabled
-// set, every call delegates verbatim to the wrapped Spatial policy and
-// the engine never takes a re-fission wakeup, so a disabled Elastic is
-// byte-identical to plain Spatial (the conformance suite pins this).
+// instead of queueing, shedding, or fully preempting. Plain Spatial is
+// the elastic-off policy.
 type Elastic struct {
-	// Disabled turns the policy into a pass-through to Spatial.
-	Disabled bool
-	// HeadroomFrac is the comfort deadband as a fraction of the QoS
-	// window: a task donates eagerly (in the planner's rebalance pass and
-	// ahead of tighter donors) only while its projected finish beats the
-	// deadline by at least HeadroomFrac × (deadline − arrival). Hard QoS
-	// levels leave nobody clearing a wide band, so the default is a thin
-	// 0.1% — enough to absorb the shrink's own drain/checkpoint penalty
-	// without freezing every spare in place. Zero means the NewElastic
-	// default (0.001).
-	HeadroomFrac float64
 	// MinIntervalS floors the spacing between re-fission wakeups so a
 	// persistently starved queue cannot thrash the chip with
-	// reconfigurations. Zero means the NewElastic default (200 µs).
+	// reconfigurations (NewElastic sets 200 µs).
 	MinIntervalS float64
 
 	sp      *Spatial
@@ -42,18 +29,22 @@ type Elastic struct {
 	rem     []int64
 }
 
+// headroomFrac is the comfort deadband as a fraction of the QoS window:
+// a task donates eagerly (in the planner's rebalance pass and ahead of
+// tighter donors) only while its projected finish beats the deadline by
+// at least headroomFrac × (deadline − arrival). Hard QoS levels leave
+// nobody clearing a wide band, so the band is a thin 0.1% — enough to
+// absorb the shrink's own drain/checkpoint penalty without freezing
+// every spare in place.
+const headroomFrac = 0.001
+
 // NewElastic returns the elastic policy for a hardware configuration.
 func NewElastic(cfg arch.Config) *Elastic {
-	return &Elastic{sp: NewSpatial(cfg), HeadroomFrac: 0.001, MinIntervalS: 200e-6}
+	return &Elastic{sp: NewSpatial(cfg), MinIntervalS: 200e-6}
 }
 
 // Name implements sim.Policy.
-func (e *Elastic) Name() string {
-	if e.Disabled {
-		return e.sp.Name()
-	}
-	return "Planaria-Elastic"
-}
+func (e *Elastic) Name() string { return "Planaria-Elastic" }
 
 // Quantum implements sim.Policy: like Spatial the policy is
 // event-driven; its extra invocations come from NextRefission wakeups,
@@ -73,44 +64,15 @@ func (e *Elastic) SetOccupancy(o *obs.Occupancy) { e.sp.SetOccupancy(o) }
 // capacity and chain caps follow the live fault mask.
 func (e *Elastic) SetHealth(mask arch.HealthMask) { e.sp.SetHealth(mask) }
 
-// RefissionActive implements sim.Refissioner.
-func (e *Elastic) RefissionActive() bool { return !e.Disabled }
+// RefissionActive implements sim.Refissioner: re-fission is always on.
+func (e *Elastic) RefissionActive() bool { return true }
 
-// headroomFrac returns the effective deadband fraction.
-func (e *Elastic) headroomFrac() float64 {
-	if e.HeadroomFrac > 0 {
-		return e.HeadroomFrac
-	}
-	return 0.001
-}
-
-// minInterval returns the effective wakeup floor.
-func (e *Elastic) minInterval() float64 {
-	if e.MinIntervalS > 0 {
-		return e.MinIntervalS
-	}
-	return 200e-6
-}
-
-// Allocate implements sim.Policy by delegating to AllocateInto, exactly
-// like Spatial.Allocate.
+// Allocate implements sim.Policy as the map form of AllocateInto.
 func (e *Elastic) Allocate(now float64, tasks []*sim.Task, total int) map[int]int {
-	if len(tasks) == 0 {
-		return nil
-	}
-	dst := make([]int, len(tasks))
-	e.AllocateInto(now, tasks, total, dst)
-	alloc := make(map[int]int, len(tasks))
-	for i, t := range tasks {
-		if dst[i] > 0 {
-			alloc[t.ID] = dst[i]
-		}
-	}
-	return alloc
+	return sim.AllocMap(e, now, tasks, total)
 }
 
-// AllocateInto implements sim.SliceAllocator. Disabled, it is the
-// spatial scheduler's decision bit for bit. Enabled, it prices every
+// AllocateInto implements sim.SliceAllocator. It prices every
 // candidate subarray count per task in one configuration-table pass,
 // derives each task's minimum (ESTIMATERESOURCES), headroom, and
 // urgency score, and hands the whole set to the re-fission planner —
@@ -119,10 +81,6 @@ func (e *Elastic) Allocate(now float64, tasks []*sim.Task, total int) map[int]in
 //
 //perf:hot per-event scheduling decision on the engine's zero-alloc fast path
 func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []int) {
-	if e.Disabled {
-		e.sp.AllocateInto(now, tasks, total, dst)
-		return
-	}
 	if len(tasks) == 0 {
 		return
 	}
@@ -132,7 +90,6 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 	}
 	cps := s.cps
 	maxA := s.chainCap(total)
-	hf := e.headroomFrac()
 	if cap(e.cands) < len(tasks) {
 		e.cands = make([]refission.Candidate, 0, len(tasks))
 	}
@@ -187,8 +144,8 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 				scSlack = best
 			}
 		}
-		if scSlack < s.MinSlack {
-			scSlack = s.MinSlack
+		if scSlack < minSlack {
+			scSlack = minSlack
 		}
 		d := mn
 		if doomed {
@@ -207,7 +164,7 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 			Max:      maxA,
 			Score:    float64(t.Req.Priority) / (scSlack * float64(d)),
 			Headroom: headroom,
-			Margin:   hf * (t.Req.Deadline - t.Req.Arrival),
+			Margin:   headroomFrac * (t.Req.Deadline - t.Req.Arrival),
 		})
 		demand += mn
 	}
@@ -239,7 +196,7 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 // MinIntervalS past now so reconfiguration cannot thrash, or +Inf when
 // the current fission needs no revisit.
 func (e *Elastic) NextRefission(now float64, tasks []*sim.Task, total int) float64 {
-	if e.Disabled || total <= 0 || len(tasks) == 0 {
+	if total <= 0 || len(tasks) == 0 {
 		return math.Inf(1)
 	}
 	s := e.sp
@@ -276,7 +233,7 @@ func (e *Elastic) NextRefission(now float64, tasks []*sim.Task, total int) float
 	if math.IsInf(earliest, 1) {
 		return earliest
 	}
-	if floor := now + e.minInterval(); earliest < floor {
+	if floor := now + e.MinIntervalS; earliest < floor {
 		earliest = floor
 	}
 	return earliest

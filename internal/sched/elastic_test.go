@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -24,59 +23,6 @@ func elasticNode(t *testing.T, prog *compiler.Program, pol sim.Policy, tr *sim.T
 		Programs: map[string]*compiler.Program{prog.Net.Name: prog},
 		Params:   energy.Default(),
 		Trace:    tr,
-	}
-}
-
-// genSchedReqs draws a seeded Poisson stream against the toy model with
-// mixed priorities — heavy enough (at high qps) to force unfit
-// decisions and queueing, which is where elastic and plain spatial
-// scheduling diverge.
-func genSchedReqs(prog *compiler.Program, n int, qps, qos float64, seed int64) []workload.Request {
-	rng := rand.New(rand.NewSource(seed))
-	reqs := make([]workload.Request, 0, n)
-	at := 0.0
-	for i := 0; i < n; i++ {
-		at += rng.ExpFloat64() / qps
-		reqs = append(reqs, workload.Request{
-			ID: i, Model: prog.Net.Name, Domain: "classification",
-			Arrival: at, Priority: rng.Intn(11) + 1,
-			QoS: qos, Deadline: at + qos,
-		})
-	}
-	return reqs
-}
-
-// TestElasticDisabledMatchesSpatial pins the conformance anchor: a
-// disabled Elastic policy drives the engine byte-identically to plain
-// Spatial — same outcomes, same traces, event for event — across load
-// levels that exercise fit, unfit, and queueing paths.
-func TestElasticDisabledMatchesSpatial(t *testing.T) {
-	cfg := arch.Planaria()
-	prog := toyProg(t, cfg)
-	iso := cfg.Seconds(prog.Table(16).TotalCycles)
-	for _, qpsMult := range []float64{0.2, 2, 8} {
-		reqs := genSchedReqs(prog, 60, qpsMult/iso, 4*iso, 7)
-		trS, trE := &sim.Trace{}, &sim.Trace{}
-		outS, err := elasticNode(t, prog, NewSpatial(cfg), trS).Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		el := NewElastic(cfg)
-		el.Disabled = true
-		outE, err := elasticNode(t, prog, el, trE).Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(outS, outE) {
-			t.Fatalf("qps×%g: disabled elastic outcome diverged from spatial:\n%+v\nvs\n%+v", qpsMult, outS, outE)
-		}
-		if !reflect.DeepEqual(trS.Events, trE.Events) {
-			t.Fatalf("qps×%g: disabled elastic trace diverged from spatial (%d vs %d events)",
-				qpsMult, len(trS.Events), len(trE.Events))
-		}
-		if outE.Refissions != 0 {
-			t.Fatalf("disabled elastic recorded %d refissions", outE.Refissions)
-		}
 	}
 }
 
@@ -160,10 +106,10 @@ func TestElasticSteadyStateReissuesPlan(t *testing.T) {
 	}
 }
 
-// TestElasticNextRefission covers the wakeup contract: disabled or
-// comfortable queues never wake; a starved queue wakes at a boundary
-// strictly after now; an all-stalled queue (nothing running) has no
-// boundary to wake at.
+// TestElasticNextRefission covers the wakeup contract: comfortable
+// queues never wake; a starved queue wakes at a boundary strictly after
+// now, no sooner than MinIntervalS; an all-stalled queue (nothing
+// running) has no boundary to wake at.
 func TestElasticNextRefission(t *testing.T) {
 	cfg := arch.Planaria()
 	prog := toyProg(t, cfg)
@@ -181,15 +127,9 @@ func TestElasticNextRefission(t *testing.T) {
 	if math.IsInf(got, 1) || got <= 0 {
 		t.Fatalf("starved queue wakes at %g, want finite > now", got)
 	}
-	if got < el.minInterval() {
-		t.Fatalf("wakeup %g under the %g floor", got, el.minInterval())
+	if got < el.MinIntervalS {
+		t.Fatalf("wakeup %g under the %g floor", got, el.MinIntervalS)
 	}
-
-	el.Disabled = true
-	if got := el.NextRefission(0, both, 16); !math.IsInf(got, 1) {
-		t.Fatalf("disabled policy wakes at %g, want +Inf", got)
-	}
-	el.Disabled = false
 
 	onlyStalled := []*sim.Task{stalled}
 	if got := el.NextRefission(0, onlyStalled, 16); !math.IsInf(got, 1) {

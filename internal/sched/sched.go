@@ -20,9 +20,6 @@ import (
 type Spatial struct {
 	// Cfg converts cycles to seconds for PREDICTTIME.
 	Cfg arch.Config
-	// MinSlack floors the slack used in the unfit score so expired tasks
-	// score highest rather than dividing by zero or a negative.
-	MinSlack float64
 
 	// health is the chip's current fault mask (empty = untracked). The
 	// scheduler only considers alive configurations: the engine passes
@@ -99,9 +96,13 @@ func byScoreDesc(a, b scoredTask) int {
 	return cmp.Compare(a.id, b.id)
 }
 
+// minSlack floors the slack used in the unfit score so expired tasks
+// score highest rather than dividing by zero or a negative.
+const minSlack = 1e-6
+
 // NewSpatial returns the policy for a hardware configuration.
 func NewSpatial(cfg arch.Config) *Spatial {
-	return &Spatial{Cfg: cfg, MinSlack: 1e-6}
+	return &Spatial{Cfg: cfg}
 }
 
 // Name implements sim.Policy.
@@ -175,23 +176,11 @@ func (s *Spatial) EstimateResources(t *sim.Task, now float64, total int) int {
 	return s.chainCap(total)
 }
 
-// Allocate is Algorithm 1's SCHEDULETASKSSPATIALLY. It delegates to the
-// slice-based AllocateInto and repackages the result as the map the
-// Policy interface promises: tasks left unallocated (stalled) are omitted
-// from the map, exactly as before the slice fast path existed.
+// Allocate is Algorithm 1's SCHEDULETASKSSPATIALLY as the map the Policy
+// interface promises: AllocateInto's decision, with stalled tasks
+// omitted.
 func (s *Spatial) Allocate(now float64, tasks []*sim.Task, total int) map[int]int {
-	if len(tasks) == 0 {
-		return nil
-	}
-	dst := make([]int, len(tasks))
-	s.AllocateInto(now, tasks, total, dst)
-	alloc := make(map[int]int, len(tasks))
-	for i, t := range tasks {
-		if dst[i] > 0 {
-			alloc[t.ID] = dst[i]
-		}
-	}
-	return alloc
+	return sim.AllocMap(s, now, tasks, total)
 }
 
 // AllocateInto implements sim.SliceAllocator: the same Algorithm 1
@@ -335,8 +324,8 @@ func (s *Spatial) allocateUnfitInto(now float64, tasks []*sim.Task, est []int, t
 	order := s.order[:0]
 	for i, t := range tasks {
 		slack := t.Slack(now)
-		if slack < s.MinSlack {
-			slack = s.MinSlack
+		if slack < minSlack {
+			slack = minSlack
 		}
 		e := est[i]
 		if e < 1 {
@@ -392,10 +381,3 @@ var _ sim.Policy = (*Spatial)(nil)
 var _ sim.SliceAllocator = (*Spatial)(nil)
 var _ obs.Observable = (*Spatial)(nil)
 var _ sim.HealthAware = (*Spatial)(nil)
-
-// Isolated returns the task's isolated execution time on the full chip,
-// used by the fairness metric.
-func Isolated(t *sim.Task, cfg arch.Config) float64 {
-	tab := t.Prog.Table(cfg.NumSubarrays())
-	return cfg.Seconds(tab.TotalCycles)
-}

@@ -125,6 +125,22 @@ func TestAllocateUnfitPrefersUrgentHighPriority(t *testing.T) {
 	}
 }
 
+// TestPolicyConstants pins the unfit score's slack floor and the elastic
+// comfort band by value: no golden moves when either moves by one ULP.
+func TestPolicyConstants(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"minSlack", minSlack, 1e-6},
+		{"headroomFrac", headroomFrac, 0.001},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestAllocateEmpty(t *testing.T) {
 	s := NewSpatial(arch.Planaria())
 	if got := s.Allocate(0, nil, 16); len(got) != 0 {

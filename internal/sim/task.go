@@ -344,6 +344,24 @@ type SliceAllocator interface {
 	AllocateInto(now float64, tasks []*Task, total int, dst []int)
 }
 
+// AllocMap runs p's slice decision and repackages it as the map Policy's
+// Allocate returns: tasks left at zero (stalled) are omitted, and an
+// empty task list gives a nil map.
+func AllocMap(p SliceAllocator, now float64, tasks []*Task, total int) map[int]int {
+	if len(tasks) == 0 {
+		return nil
+	}
+	dst := make([]int, len(tasks))
+	p.AllocateInto(now, tasks, total, dst)
+	alloc := make(map[int]int, len(tasks))
+	for i, t := range tasks {
+		if dst[i] > 0 {
+			alloc[t.ID] = dst[i]
+		}
+	}
+	return alloc
+}
+
 // allocFromMap copies a policy's allocation map into the positional
 // slice dst (dst[i] is tasks[i]'s allocation; a task missing from the map
 // gets 0). A key naming no active task breaks the contract; the smallest

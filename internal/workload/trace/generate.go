@@ -270,20 +270,3 @@ func (s *Spec) Generate() ([]workload.Request, error) {
 	}
 	return reqs, nil
 }
-
-// Stationary builds the degenerate spec for a flat Poisson stream over
-// the scenario's model mix — the trace-format expression of
-// workload.Generate's setting (the draw sequences differ, but the
-// distribution is the same).
-func Stationary(sc workload.Scenario, level workload.QoSLevel, qps float64, n int, seed int64) *Spec {
-	return &Spec{
-		Version:     FormatVersion,
-		Name:        sc.Name + "-stationary",
-		Models:      sc.Models,
-		QoS:         level.Name,
-		Seed:        seed,
-		HorizonS:    float64(n)/qps*4 + 1, // generous horizon; MaxRequests ends the stream
-		BaseQPS:     qps,
-		MaxRequests: n,
-	}
-}

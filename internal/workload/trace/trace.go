@@ -8,16 +8,11 @@
 // the same workload.NewRequest emission path, so every serving layer
 // (sim.Node, cluster.Run) consumes it unchanged.
 //
-// Two on-disk forms exist:
-//
-//   - the JSON *spec* (ParseJSON/EncodeJSON): the generative description
-//     — rate curve, crowds, skew — replayed deterministically from its
-//     seed. Specs are small, hand-editable, and canonical: parse → encode
-//     is a fixed point (FuzzTraceJSON pins it), so artifacts embedding a
-//     spec are byte-comparable.
-//   - the CSV *stream* (ParseCSV/EncodeCSV): a materialized arrival list
-//     (id, arrival, model, priority), for replaying externally captured
-//     traces or freezing a generated stream.
+// The on-disk form is the JSON *spec* (ParseJSON/EncodeJSON): the
+// generative description — rate curve, crowds, skew — replayed
+// deterministically from its seed. Specs are small, hand-editable, and
+// canonical: parse → encode is a fixed point (FuzzTraceJSON pins it), so
+// artifacts embedding a spec are byte-comparable.
 //
 // Everything is simulated-time only and seeded (the package is in
 // planaria-vet's deterministic set): the same spec yields the same

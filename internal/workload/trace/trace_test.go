@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"planaria/internal/workload"
@@ -176,70 +175,13 @@ func TestParseJSONRejects(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	s := testSpec()
-	s.MaxRequests = 500
-	reqs, err := s.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := EncodeCSV(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseCSV(enc)
-	if err != nil {
-		t.Fatalf("own encoding rejected: %v", err)
-	}
-	if len(back) != len(reqs) {
-		t.Fatalf("row count changed: %d -> %d", len(reqs), len(back))
-	}
-	for i := range reqs {
-		if back[i] != reqs[i] {
-			t.Fatalf("request %d changed through CSV: %+v -> %+v", i, reqs[i], back[i])
-		}
-	}
-	enc2, err := EncodeCSV(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Fatal("CSV encode not byte-stable through a round trip")
-	}
-}
-
-func TestCSVRejects(t *testing.T) {
-	cases := map[string]string{
-		"empty":        "",
-		"bad pragma":   "#other v1 qos=QoS-S\nid,at_s,model,priority\n0,0,ResNet-50,1\n",
-		"bad version":  "#planaria-trace v7 qos=QoS-S\nid,at_s,model,priority\n0,0,ResNet-50,1\n",
-		"bad qos":      "#planaria-trace v1 qos=QoS-Z\nid,at_s,model,priority\n0,0,ResNet-50,1\n",
-		"bad header":   "#planaria-trace v1 qos=QoS-S\nid,time,model,priority\n0,0,ResNet-50,1\n",
-		"bad model":    "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,0,NoSuchNet,1\n",
-		"bad priority": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,0,ResNet-50,12\n",
-		"sparse ids":   "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n5,0,ResNet-50,1\n",
-		"out of order": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,2,ResNet-50,1\n1,1,ResNet-50,1\n",
-		"no rows":      "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n",
-		"nan arrival":  "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,NaN,ResNet-50,3\n",
-		"+inf arrival": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,+Inf,ResNet-50,3\n",
-		"-inf arrival": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,-Inf,ResNet-50,3\n",
-		"inf arrival":  "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,0,ResNet-50,3\n1,infinity,ResNet-50,3\n",
-		"nan in order": "#planaria-trace v1 qos=QoS-S\nid,at_s,model,priority\n0,1,ResNet-50,3\n1,NaN,ResNet-50,3\n2,0.5,ResNet-50,3\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseCSV([]byte(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
-		}
-	}
-	// A non-finite arrival is reported with its line and field.
-	_, err := ParseCSV([]byte(cases["nan in order"]))
-	if err == nil || !strings.Contains(err.Error(), "line 4 at_s") {
-		t.Errorf("non-finite arrival error %v does not name line 4 and at_s", err)
-	}
-}
-
 func TestStationarySpec(t *testing.T) {
-	s := Stationary(workload.ScenarioB(), workload.QoSSoft, 100, 2000, 7)
+	// A spec with no rate curve or crowds is a flat Poisson stream.
+	s := &Spec{
+		Version: FormatVersion, Name: "B-stationary",
+		Models: workload.ScenarioB().Models, QoS: workload.QoSSoft.Name, Seed: 7,
+		HorizonS: 81, BaseQPS: 100, MaxRequests: 2000,
+	}
 	reqs, err := s.Generate()
 	if err != nil {
 		t.Fatal(err)

@@ -385,27 +385,3 @@ func DeadlineFraction(reqs []Request, finishes []float64) float64 {
 	}
 	return float64(ok) / float64(len(reqs))
 }
-
-// TailLatencySlack returns the minimum over domains of
-// (achieved within-deadline fraction − required fraction); positive means
-// the SLA holds with margin. Useful for diagnostics and tests.
-func TailLatencySlack(reqs []Request, finishes []float64) float64 {
-	per := make([]domCount, 0, 8)
-	var c *domCount
-	for i := range reqs {
-		r := &reqs[i]
-		per, c = domSlot(per, r.Domain)
-		c.total++
-		if i < len(finishes) && finishes[i] >= 0 && finishes[i] <= r.Deadline+1e-12 {
-			c.ok++
-		}
-	}
-	slack := math.Inf(1)
-	for i := range per {
-		s := float64(per[i].ok)/float64(per[i].total) - SLATarget(per[i].dom)
-		if s < slack {
-			slack = s
-		}
-	}
-	return slack
-}

@@ -145,21 +145,6 @@ func TestMeetsSLA(t *testing.T) {
 	}
 }
 
-func TestTailLatencySlack(t *testing.T) {
-	reqs := []Request{
-		{ID: 0, Domain: "classification", Deadline: 1},
-		{ID: 1, Domain: "classification", Deadline: 1},
-	}
-	s := TailLatencySlack(reqs, []float64{0.5, 0.5})
-	if math.Abs(s-0.01) > 1e-9 {
-		t.Errorf("slack = %g, want 0.01", s)
-	}
-	s = TailLatencySlack(reqs, []float64{0.5, 2.0})
-	if s >= 0 {
-		t.Errorf("violating instance slack = %g, want negative", s)
-	}
-}
-
 func TestQoSLevels(t *testing.T) {
 	if QoSSoft.Scale != 1 || QoSMedium.Scale != 0.25 || QoSHard.Scale != 1.0/16 {
 		t.Fatalf("QoS scales %v %v %v", QoSSoft.Scale, QoSMedium.Scale, QoSHard.Scale)

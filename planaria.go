@@ -279,9 +279,7 @@ func (a *Accelerator) system(name string) metrics.System {
 type EvalOptions = metrics.Options
 
 // DefaultEvalOptions returns the evaluation defaults.
-func DefaultEvalOptions() EvalOptions {
-	return metrics.Options{Requests: 400, Instances: 3, Seed: 1}
-}
+func DefaultEvalOptions() EvalOptions { return metrics.DefaultOptions() }
 
 // Throughput returns the maximum Poisson QPS at which the node meets the
 // MLPerf server SLA for a scenario × QoS level. Every scenario model must
