@@ -15,7 +15,7 @@ import (
 // (each builds a name value and its args even when the builder is nil).
 // The known nil-safe inline paths — Counter.Inc/Add, Gauge.Set/Max,
 // Histogram.Observe, Registry.Counter/Gauge/Histogram, Observer
-// accessors, and Trace.Reserve — are cheap no-ops when disabled and may
+// accessors, and Trace.reserve — are cheap no-ops when disabled and may
 // appear unguarded. Recording functions (see ComputeHot) are reached
 // only through a guard and are not checked. //perf:obsguard-ok <reason>
 // exempts a call.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"planaria/internal/obs"
-	"planaria/internal/sim"
 )
 
 // warmAllocs returns the fewest allocations seen over 20 single calls
@@ -21,30 +20,25 @@ func warmAllocs(f func()) float64 {
 }
 
 // TestClusterRunAllocs pins the allocations of one warm, batched 3-chip
-// Run on a 400-request stream: untraced, with a fresh front-door trace
-// per call, and with a fresh trace and observer per call plus
-// attribution. The front end's working buffers come from pooled state;
-// what remains is the Outcome, the per-chip request layout and results,
-// the three chip simulations and, when traced, the trace's own event
-// buffer. With every sink attached the count adds the observer, its
-// series and timeline, the ledgers, and each chip's occupancy
-// accountant; that case formats names through fmt's pooled printers, so
-// it is pinned only without the race detector.
+// Run on a 400-request stream: without sinks, and with a fresh observer
+// per call plus attribution. The front end's working buffers come from
+// pooled state; what remains is the Outcome, the per-chip request layout
+// and results, and the three chip simulations. With every sink attached
+// the count adds the observer, its series and timeline, the ledgers, and
+// each chip's occupancy accountant; that case formats names through
+// fmt's pooled printers, so it is pinned only without the race detector.
 func TestClusterRunAllocs(t *testing.T) {
 	sys := spatialSystem(t)
 	reqs := genReqs(400, 1500, 1, 21)
 	for _, c := range []struct {
-		traced, sinks bool
-		want          float64
-	}{{false, false, 33}, {true, false, 35}, {true, true, 412}} {
+		sinks bool
+		want  float64
+	}{{false, 33}, {true, 168}} {
 		if c.sinks && raceEnabled {
 			continue
 		}
 		cfg := Config{System: sys, Chips: 3, BatchWindow: 5e-4, MaxBatch: 4, Attrib: c.sinks}
 		run := func() {
-			if c.traced {
-				cfg.Trace = &sim.Trace{}
-			}
 			if c.sinks {
 				cfg.Obs = obs.New()
 			}
@@ -53,8 +47,7 @@ func TestClusterRunAllocs(t *testing.T) {
 			}
 		}
 		if got := warmAllocs(run); got > c.want {
-			t.Errorf("warm cluster.Run (traced=%v, all sinks=%v): %.0f allocs/op, want at most %.0f",
-				c.traced, c.sinks, got, c.want)
+			t.Errorf("warm cluster.Run (all sinks=%v): %.0f allocs/op, want at most %.0f", c.sinks, got, c.want)
 		}
 	}
 }

@@ -416,8 +416,7 @@ func (r *run) drain(c int, T float64) {
 		r.dispatches[di].chip = -2 // migrated away: the new record serves its members
 		r.out.Migrated += int(d.n)
 		if r.observed {
-			r.emit(event{kind: evMigrate, time: T, first: d.first, n: d.n,
-				chip: int32(target), pos: int32(pos), from: int32(c)})
+			r.emit(event{kind: evMigrate, time: T, first: d.first, n: d.n, chip: int32(target), pos: int32(pos)})
 		}
 	}
 	s.pend = pend[:0]

@@ -4,11 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"planaria/internal/fault"
 	"planaria/internal/obs"
-	"planaria/internal/sim"
 	"planaria/internal/workload"
 )
 
@@ -155,12 +155,11 @@ func TestAutoscaleValidate(t *testing.T) {
 func TestAutoscaledRunConservation(t *testing.T) {
 	sys := spatialSystem(t)
 	reqs := genReqs(2000, 600, 1, 7)
-	tr := &sim.Trace{}
 	cfg := Config{
 		System: sys, Chips: 6, Policy: "least-work",
 		BatchWindow: 2e-4, MaxBatch: 8,
-		Scale: &Autoscale{Min: 1, Initial: 2, BootS: 0.05, IntervalS: 0.05},
-		Trace: tr, Attrib: true, Observe: true,
+		Scale:  &Autoscale{Min: 1, Initial: 2, BootS: 0.05, IntervalS: 0.05},
+		Attrib: true, Observe: true,
 	}
 	out, err := Run(cfg, reqs)
 	if err != nil {
@@ -220,33 +219,31 @@ func TestAutoscaleConstantFleetMatchesStatic(t *testing.T) {
 func TestAutoscaleDeterministic(t *testing.T) {
 	sys := spatialSystem(t)
 	reqs := burstReqs(1200, 400, 0.5, 3, 1.0, 0.2, 800)
-	run := func() (*Outcome, *sim.Trace) {
-		tr := &sim.Trace{}
+	run := func() *Outcome {
 		cfg := Config{
 			System: sys, Chips: 8, Policy: "least-work",
 			BatchWindow: 2e-4, MaxBatch: 8,
-			Scale: &Autoscale{Min: 1, Initial: 1, BootS: 0.1, IntervalS: 0.05},
-			Trace: tr,
+			Scale:  &Autoscale{Min: 1, Initial: 1, BootS: 0.1, IntervalS: 0.05},
+			Attrib: true,
 		}
 		out, err := Run(cfg, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, tr
+		return out
 	}
-	a, ta := run()
-	b, tb := run()
+	a, b := run(), run()
 	if !reflect.DeepEqual(a.Finishes, b.Finishes) {
 		t.Fatal("autoscaled run is not deterministic: finishes differ")
 	}
 	if a.ShedDrain != b.ShedDrain || a.Migrated != b.Migrated || a.Completed != b.Completed {
 		t.Fatal("autoscaled run is not deterministic: tallies differ")
 	}
-	if !reflect.DeepEqual(ta.Events, tb.Events) {
-		t.Fatal("autoscaled run is not deterministic: traces differ")
-	}
 	if !reflect.DeepEqual(a.Fleet.Events(), b.Fleet.Events()) {
 		t.Fatal("autoscaled run is not deterministic: fleet logs differ")
+	}
+	if renderFront(a.Attrib) != renderFront(b.Attrib) {
+		t.Fatal("autoscaled run is not deterministic: front ledgers differ")
 	}
 }
 
@@ -259,14 +256,13 @@ func TestDrainMigratesQueuedWork(t *testing.T) {
 	// A dense burst up front queues estimated work well past the drain
 	// instant; a sparse tail keeps control ticks firing afterwards.
 	reqs := burstReqs(200, 50, 10, 5, 0.0, 0.01, 10000)
-	tr := &sim.Trace{}
 	cfg := Config{
 		System: sys, Chips: 3, Policy: "least-work",
 		Scale: &Autoscale{
 			Min: 1, Initial: 3, IntervalS: 0.002,
 			Controller: &Script{Steps: []ScaleStep{{AtS: 0.002, Chips: 2}}},
 		},
-		Trace: tr, Attrib: true,
+		Attrib: true,
 	}
 	out, err := Run(cfg, reqs)
 	if err != nil {
@@ -279,17 +275,8 @@ func TestDrainMigratesQueuedWork(t *testing.T) {
 	if out.ShedDrain != 0 {
 		t.Fatalf("drain shed %d requests despite routable targets", out.ShedDrain)
 	}
-	sawDrain, sawMigrate := false, false
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case sim.EvDrain:
-			sawDrain = true
-		case sim.EvMigrate:
-			sawMigrate = true
-		}
-	}
-	if !sawDrain || !sawMigrate {
-		t.Fatalf("trace missing drain/migrate events: drain=%v migrate=%v", sawDrain, sawMigrate)
+	if !slices.ContainsFunc(out.Fleet.Events(), func(e obs.FleetEvent) bool { return e.Kind == obs.FleetDrain }) {
+		t.Fatal("fleet log has no drain")
 	}
 }
 
@@ -358,7 +345,6 @@ func TestDrainRacesFaultOnDrainingChip(t *testing.T) {
 func TestDrainRacesFlashCrowd(t *testing.T) {
 	sys := spatialSystem(t)
 	reqs := burstReqs(600, 100, 5, 17, 0.0025, 0.0025, 3000)
-	tr := &sim.Trace{}
 	cfg := Config{
 		System: sys, Chips: 4, Policy: "least-work",
 		BatchWindow: 2e-4, MaxBatch: 8,
@@ -369,20 +355,14 @@ func TestDrainRacesFlashCrowd(t *testing.T) {
 				{AtS: 0.004, Chips: 4},
 			}},
 		},
-		Trace: tr,
 	}
 	out, err := Run(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkConservation(t, cfg, reqs, out)
-	ups := 0
-	for _, e := range tr.Events {
-		if e.Kind == sim.EvScaleUp {
-			ups++
-		}
-	}
-	if ups == 0 {
+	// Control ticks start one interval in, so a boot after 0 is a scale-up.
+	if !slices.ContainsFunc(out.Fleet.Events(), func(e obs.FleetEvent) bool { return e.Kind == obs.FleetBoot && e.Time > 0 }) {
 		t.Fatal("flash crowd never scaled the fleet back up")
 	}
 	if err := out.Fleet.Validate(); err != nil {
@@ -428,7 +408,6 @@ func TestScaleDownRacesRandomized(t *testing.T) {
 				faults[i] = &fault.Schedule{Units: 16, Pods: 4}
 			}
 		}
-		tr := &sim.Trace{}
 		cfg := Config{
 			System: sys, Chips: chips, Policy: "least-work",
 			BatchWindow: 2e-4, MaxBatch: 8,
@@ -438,7 +417,7 @@ func TestScaleDownRacesRandomized(t *testing.T) {
 				BootS: rng.Float64() * 0.002, IntervalS: 0.0005 + rng.Float64()*0.002,
 				Controller: &Script{Steps: steps},
 			},
-			Trace: tr, Attrib: true,
+			Attrib: true,
 		}
 		out, err := Run(cfg, reqs)
 		if err != nil {

@@ -4,8 +4,8 @@
 // scheduler or the PREMA baseline — through three stages:
 //
 //  1. Admission: per-QoS-level token buckets (simulated-time refill) with
-//     a bounded wait queue; overflow sheds deterministically and reuses
-//     the EvShed trace vocabulary.
+//     a bounded wait queue; overflow sheds deterministically, with the
+//     cause obs.CauseShedAdmission.
 //  2. Dynamic batching: per-model batch windows fuse requests that arrive
 //     within BatchWindow (capped at MaxBatch) into one chip request that
 //     shares a single allocation; completions fan back out to every
@@ -90,9 +90,6 @@ type Config struct {
 	// (dispatch counters, batch-size histogram, cluster latency
 	// histograms, batch spans).
 	Obs *obs.Observer
-	// Trace, when non-nil, records the front-door timeline: arrivals,
-	// admission sheds, batch closes, dispatches.
-	Trace *sim.Trace
 	// Observe attaches a fresh obs.Observer to every chip node (exposed
 	// on ChipResult.Obs for artifact comparison).
 	Observe bool
@@ -388,8 +385,7 @@ type run struct {
 	membersTotal int       // members over all live dispatch groups
 	errs         []error   // per-chip simulation errors
 
-	// observed guards every per-request emit: a Trace, Obs or Attrib is
-	// attached.
+	// observed guards every per-request emit: Obs or Attrib is attached.
 	observed bool
 	views
 }
@@ -417,10 +413,7 @@ func (r *run) release() {
 		ends:       r.ends[:0],
 		arena:      r.arena[:0],
 		errs:       r.errs[:0],
-		views: views{
-			front:   frontEvents{a: r.front.a[:0], b: r.front.b[:0]},
-			perChip: r.perChip[:0], latHists: r.latHists[:0],
-		},
+		views:      views{perChip: r.perChip[:0], latHists: r.latHists[:0]},
 	}
 }
 

@@ -136,9 +136,11 @@ func checkConservation(t *testing.T, cfg Config, reqs []workload.Request, out *O
 	if groups != out.Batches {
 		t.Errorf("Batches = %d but chips hold %d dispatch groups", out.Batches, groups)
 	}
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Validate(); err != nil {
-			t.Errorf("front-door trace invalid: %v", err)
+	if cfg.Attrib {
+		for i := range reqs {
+			if !out.Attrib.Front.Closed(i) {
+				t.Errorf("request %d: front-door attribution record left open", i)
+			}
 		}
 	}
 	if out.Fleet != nil {
@@ -219,7 +221,7 @@ func TestConservationTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := tc.cfg
-			cfg.Trace = &sim.Trace{}
+			cfg.Attrib = true
 			out, err := Run(cfg, tc.reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +278,7 @@ func TestConservationRandomized(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			cfg := cfg
-			cfg.Trace = &sim.Trace{}
+			cfg.Attrib = true
 			out, err := Run(cfg, reqs)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -298,8 +300,8 @@ func TestBatchingGroupsWithinWindow(t *testing.T) {
 		mk(2, 0.0006, "toy-b"), // different model: own batch
 		mk(3, 0.0030, "toy-a"), // after 0's window closed
 	}
-	tr := &sim.Trace{}
-	out, err := Run(Config{System: sys, Chips: 1, BatchWindow: 1e-3, Trace: tr}, reqs)
+	o := obs.New()
+	out, err := Run(Config{System: sys, Chips: 1, BatchWindow: 1e-3, Obs: o}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,18 +332,17 @@ func TestBatchingGroupsWithinWindow(t *testing.T) {
 	if out.Latency[0] <= out.Latency[1] {
 		t.Errorf("leader latency %g should exceed later member's %g", out.Latency[0], out.Latency[1])
 	}
-	batchEvents := 0
-	for _, e := range tr.Events {
-		if e.Kind == sim.EvBatch {
-			batchEvents++
-			if e.Task == 0 && e.Alloc != 2 {
-				t.Errorf("fused batch event size %d, want 2", e.Alloc)
+	// Three window closes: one of size 2 and two of size 1.
+	for _, sr := range o.Registry().Snapshot().Series {
+		if sr.Name == "cluster_batch_size" {
+			if sr.Count != 3 || sr.Sum != 4 || sr.Buckets[0] != 2 || sr.Buckets[1] != 1 {
+				t.Errorf("batch-size histogram count %d sum %g buckets %v, want 3 closes: two of 1, one of 2",
+					sr.Count, sr.Sum, sr.Buckets)
 			}
+			return
 		}
 	}
-	if batchEvents != 3 {
-		t.Errorf("trace has %d batch events, want 3", batchEvents)
-	}
+	t.Error("no cluster_batch_size histogram")
 }
 
 func TestBatchingMaxBatchClosesEarly(t *testing.T) {
@@ -516,20 +517,20 @@ func TestAllChipsDeadShedsEverything(t *testing.T) {
 		dead.Events = append(dead.Events, fault.Event{Time: 0, Kind: fault.KindSubarray, Unit: u})
 	}
 	reqs := genReqs(10, 300, 1, 10)
-	tr := &sim.Trace{}
-	out, err := Run(Config{
+	cfg := Config{
 		System: sys, Chips: 1,
 		Faults:    []*fault.Schedule{dead},
 		FaultMode: sim.FaultFission,
-		Trace:     tr,
-	}, reqs)
+		Attrib:    true,
+	}
+	out, err := Run(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.ShedFront != len(reqs) || out.Completed != 0 {
 		t.Fatalf("dead cluster: shed %d completed %d, want %d/0", out.ShedFront, out.Completed, len(reqs))
 	}
-	checkConservation(t, Config{Trace: tr}, reqs, out)
+	checkConservation(t, cfg, reqs, out)
 }
 
 func TestRunRejectsBadConfigs(t *testing.T) {
@@ -574,18 +575,17 @@ func TestClusterRunDeterministic(t *testing.T) {
 	}
 	for _, pol := range Policies() {
 		run := func() string {
-			tr := &sim.Trace{}
 			out, err := Run(Config{
 				System: sys, Chips: 3, Policy: pol,
 				BatchWindow: 5e-4, MaxBatch: 4,
 				Admission: map[string]TokenBucket{"QoS-H": {Rate: 400, Burst: 8, MaxQueue: 4}},
 				Faults:    faults, FaultMode: sim.FaultFission, Shed: sim.ShedDoomed,
-				Trace: tr,
+				Attrib: true,
 			}, reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return renderOutcome(out) + tr.String()
+			return renderOutcome(out) + renderFront(out.Attrib)
 		}
 		if a, b := run(), run(); a != b {
 			t.Errorf("%s: cluster run not deterministic", pol)
@@ -615,14 +615,14 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 	for _, c := range cases {
 		reqs := genReqs(4, 100, 1, 1)
 		c.edit(&reqs[2])
-		tr := &sim.Trace{}
-		_, err := Run(Config{System: sys, Chips: 2, Trace: tr}, reqs)
+		o := obs.New()
+		_, err := Run(Config{System: sys, Chips: 2, Obs: o}, reqs)
 		var re *workload.RequestError
 		if !errors.As(err, &re) || re.Index != 2 || re.Field != c.field {
 			t.Errorf("%s: err = %v, want a RequestError for index 2, field %s", c.name, err, c.field)
 		}
-		if len(tr.Events) != 0 {
-			t.Errorf("%s: %d events recorded before the error", c.name, len(tr.Events))
+		if n := len(o.Registry().Snapshot().Series); n != 0 {
+			t.Errorf("%s: %d series registered before the error", c.name, n)
 		}
 	}
 
@@ -650,13 +650,13 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 				reqs[2].Arrival, want = math.NaN(), c.bad
 			}
 			cfg := c.cfg
-			cfg.System, cfg.Chips, cfg.Trace, cfg.Obs = sys, 2, &sim.Trace{}, obs.New()
+			cfg.System, cfg.Chips, cfg.Obs = sys, 2, obs.New()
 			_, err := Run(cfg, reqs)
 			if err == nil || err.Error() != want {
 				t.Errorf("%s (malformed request %v): err = %v, want %s", c.name, malformed, err, want)
 			}
-			if n := len(cfg.Trace.Events) + len(cfg.Obs.Registry().Snapshot().Series); n != 0 {
-				t.Errorf("%s (malformed request %v): %d trace events and series before the error", c.name, malformed, n)
+			if n := len(cfg.Obs.Registry().Snapshot().Series); n != 0 {
+				t.Errorf("%s (malformed request %v): %d series before the error", c.name, malformed, n)
 			}
 		}
 	}

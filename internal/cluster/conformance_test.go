@@ -27,6 +27,18 @@ func renderOutcome(out *Outcome) string {
 	return b.String()
 }
 
+// renderFront renders the front ledger: each request's chip/position
+// link, terminal cause and phase spans.
+func renderFront(a *Attribution) string {
+	var b strings.Builder
+	var spans []obs.PhaseSpan
+	for i := range a.Chip {
+		spans = a.Front.Spans(i, spans[:0])
+		fmt.Fprintf(&b, "%d chip=%d pos=%d cause=%v spans=%x\n", i, a.Chip[i], a.Pos[i], a.Front.Cause(i), spans)
+	}
+	return b.String()
+}
+
 // renderNodeOutcome renders a chip-level outcome the same way.
 func renderNodeOutcome(out *sim.Outcome) string {
 	var b strings.Builder

@@ -70,8 +70,9 @@ func fuzzStream(data []byte, iso float64) []workload.Request {
 // chips, the balancing policy, the batch window and max batch, and
 // optionally a token bucket on one QoS level, a transient outage of
 // every pod of chip 0, a Script autoscale that drains down to one chip
-// and books the fleet back out, the front-door trace, attribution and
-// an observer.
+// and books the fleet back out, attribution and an observer. One bit
+// before attribution selects nothing; it is still consumed so the
+// committed seeds decode to the configurations their comments name.
 func fuzzConfig(sys metrics.System, setup uint32, iso float64) Config {
 	bits := func(n uint32) uint32 {
 		v := setup % n
@@ -102,9 +103,7 @@ func fuzzConfig(sys metrics.System, setup uint32, iso float64) Config {
 			Controller: &Script{Steps: []ScaleStep{{AtS: iso / 2, Chips: 1}, {AtS: 2 * iso, Chips: cfg.Chips}}},
 		}
 	}
-	if bits(2) == 1 {
-		cfg.Trace = &sim.Trace{}
-	}
+	_ = bits(2)
 	cfg.Attrib = bits(2) == 1
 	if bits(2) == 1 {
 		cfg.Obs = obs.New()
@@ -114,9 +113,7 @@ func fuzzConfig(sys metrics.System, setup uint32, iso float64) Config {
 
 // checkFront asserts the views a run folded from its front-door event
 // stream: the registry counters that equal an Outcome tally or sum to
-// one, a valid trace and fleet log, and, when traced, one scale-up,
-// drain and scale-down trace event per scale-up boot, drain and retire
-// of the fleet log.
+// one, and a valid fleet log.
 func checkFront(t *testing.T, cfg Config, reqs []workload.Request, out *Outcome) {
 	t.Helper()
 	if cfg.Obs != nil {
@@ -136,41 +133,6 @@ func checkFront(t *testing.T, cfg Config, reqs []workload.Request, out *Outcome)
 	}
 	if err := out.Fleet.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Trace == nil {
-		return
-	}
-	if err := cfg.Trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	type lifecycle struct {
-		kind sim.EventKind
-		chip int
-		at   float64
-	}
-	var traced, logged []lifecycle
-	for _, e := range cfg.Trace.Events {
-		switch e.Kind {
-		case sim.EvScaleUp, sim.EvDrain, sim.EvScaleDown:
-			traced = append(traced, lifecycle{e.Kind, e.Unit, e.Time})
-		}
-	}
-	kinds := map[obs.FleetEventKind]sim.EventKind{
-		obs.FleetBoot: sim.EvScaleUp, obs.FleetDrain: sim.EvDrain, obs.FleetRetire: sim.EvScaleDown,
-	}
-	for _, e := range out.Fleet.Events() {
-		// Control ticks start one interval in, so a boot at 0 is initial.
-		if k, ok := kinds[e.Kind]; ok && (e.Kind != obs.FleetBoot || e.Time > 0) {
-			logged = append(logged, lifecycle{k, e.Chip, e.Time})
-		}
-	}
-	order := func(a, b lifecycle) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.chip, b.chip), cmp.Compare(a.kind, b.kind))
-	}
-	slices.SortFunc(traced, order)
-	slices.SortFunc(logged, order)
-	if !slices.Equal(traced, logged) {
-		t.Fatalf("trace lifecycle events %v, fleet log %v", traced, logged)
 	}
 }
 
@@ -272,11 +234,11 @@ func FuzzClusterRun(f *testing.F) {
 	f.Add(uint32(987654), []byte{0, 1, 12, 16, 0, 1, 2, 13, 16, 15, 1})
 	f.Add(uint32(1<<20-1), []byte{0, 0, 0, 64, 16, 17, 1, 0, 64, 16, 9, 2, 16, 64, 16, 25, 3, 32, 64, 16, 1})
 	// Three chips drained to one, migrating queued work, and booted back
-	// out, with the trace, attribution and an observer attached.
+	// out, with attribution and an observer attached.
 	f.Add(uint32(2165), []byte{0, 0, 0, 240, 64, 1, 1, 0, 240, 64, 1, 2, 0, 240, 64, 1, 3, 0, 240, 64, 1,
 		4, 0, 240, 64, 1, 5, 0, 240, 64, 1, 6, 64, 240, 16, 1, 7, 96, 240, 16, 1})
 	// One chip behind a QoS-H token bucket, dead at first: admission and
-	// unroutable sheds, traced and observed.
+	// unroutable sheds, with attribution and an observer.
 	f.Add(uint32(306540), []byte{0, 0, 0, 64, 16, 17, 1, 0, 64, 16, 17, 2, 0, 64, 16, 17, 3, 0, 64, 16, 17,
 		4, 32, 64, 16, 1, 5, 112, 64, 16, 1})
 	// A lone Work = 0 request batched on one chip, with attribution: its

@@ -1,24 +1,19 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 
 	"planaria/internal/obs"
-	"planaria/internal/sim"
 )
 
 // The stage methods emit every front-door decision once, as one event,
 // and emit folds it online, in emit order, into each view the run
-// attached: the front trace, the registry, the Perfetto timeline, the
-// front ledger with its chip/position links, and the fleet log. Besides
-// the stream, the folds read only the requests, their arrival column
-// and the member arena. Per-request events are built only behind the
-// run's observed guard. Lifecycle events, a handful per control tick,
-// are emitted on every autoscaled run, whose Outcome always carries the
-// fleet log.
+// attached: the registry, the Perfetto timeline, the front ledger with
+// its chip/position links, and the fleet log. Besides the stream, the
+// folds read only the requests, their arrival column and the member
+// arena. Per-request events are built only behind the run's observed
+// guard. Lifecycle events, a handful per control tick, are emitted on
+// every autoscaled run, whose Outcome always carries the fleet log.
 
 // eventKind classifies front-door events.
 type eventKind uint8
@@ -38,8 +33,8 @@ const (
 	// also its merged arrival, the instant the chip takes it over; backlog
 	// is the chip's new estimated backlog.
 	evDispatch
-	// evMigrate: a drain moved a group from chip from to position pos of
-	// chip, handing off at time.
+	// evMigrate: a drain moved a group to position pos of chip, handing
+	// off at time.
 	evMigrate
 	// evDone: request req completed at time.
 	evDone
@@ -58,21 +53,13 @@ const (
 // event is one front-door decision. The struct is fixed size and holds
 // no reference; a group's members are arena[first : first+n].
 type event struct {
-	time, backlog   float64
-	kind            eventKind
-	cause           obs.Cause
-	initial         bool
-	req             int32
-	first, n        int32
-	chip, pos, from int32
-}
-
-// frontEvents holds the front-door trace in three runs: a holds the
-// stage-1 arrival and admission-shed events, b the dispatch-time events, each
-// appended in time order (see exportFront for the one exception), and c
-// the future-dated scale-down events of an autoscaled run.
-type frontEvents struct {
-	a, b, c []sim.Event
+	time, backlog float64
+	kind          eventKind
+	cause         obs.Cause
+	initial       bool
+	req           int32
+	first, n      int32
+	chip, pos     int32
 }
 
 // chipSeries are one chip's registry and timeline series.
@@ -84,30 +71,27 @@ type chipSeries struct {
 // views holds a run's front-door sinks and their fold state. emit skips
 // nil sinks.
 type views struct {
-	trace  *sim.Trace
-	front  frontEvents
 	tracer *obs.TraceBuilder
 	reg    *obs.Registry
 	led    *obs.Ledger
 	fleet  *obs.Fleet
-	// The series that fold from the stream; countOutcome writes the rest.
-	admShed, unroutable, batches        *obs.Counter
-	scaleUp, drains, scaleDown, migrate *obs.Counter
-	batchSize                           *obs.Histogram
-	perChip                             []chipSeries
-	latHists                            []*obs.Histogram // by model ID, registered on first completion; pooled
+	// The series that fold from the stream; finish writes the rest.
+	admShed, unroutable, batches *obs.Counter
+	scaleUp, drains, migrate     *obs.Counter
+	batchSize                    *obs.Histogram
+	perChip                      []chipSeries
+	latHists                     []*obs.Histogram // by model ID, registered on first completion; pooled
 }
 
 // attach binds the configuration's sinks to the run: the registry
-// handles, the per-chip series, the front ledger and its links, the
-// fleet log of an autoscaled run with its initial slots, and the trace's
-// reserve.
+// handles, the per-chip series, the front ledger and its links, and the
+// fleet log of an autoscaled run with its initial slots.
 //
 //perf:cold per-run setup: runs once before the admit walk
 func (r *run) attach() {
 	cfg, n := &r.cfg, len(r.reqs)
-	r.observed = cfg.Trace != nil || cfg.Obs != nil || cfg.Attrib
-	r.trace, r.tracer, r.reg = cfg.Trace, cfg.Obs.Tracer(), cfg.Obs.Registry()
+	r.observed = cfg.Obs != nil || cfg.Attrib
+	r.tracer, r.reg = cfg.Obs.Tracer(), cfg.Obs.Registry()
 	reg := r.reg
 	r.admShed = reg.Counter("cluster_admission_shed_total")
 	r.unroutable = reg.Counter("cluster_unroutable_shed_total")
@@ -126,9 +110,6 @@ func (r *run) attach() {
 			r.perChip[i].backlog = fmt.Sprintf("chip %02d", i)
 		}
 	}
-	if r.trace != nil {
-		r.front.a, r.front.b = grow(r.front.a, 2*n), grow(r.front.b, 2*n)
-	}
 	// Attribution (DESIGN.md §14): a front-door ledger indexed like the
 	// input plus the chip/position links resolved at dispatch.
 	if cfg.Attrib {
@@ -143,7 +124,6 @@ func (r *run) attach() {
 	}
 	r.scaleUp = reg.Counter("cluster_scale_up_total")
 	r.drains = reg.Counter("cluster_drains_total")
-	r.scaleDown = reg.Counter("cluster_scale_down_total")
 	r.migrate = reg.Counter("cluster_migrated_total")
 	r.fleet = obs.NewFleet(cfg.Chips)
 	r.out.Fleet = r.fleet
@@ -155,9 +135,6 @@ func (r *run) attach() {
 
 // emit folds one front-door event into every attached view.
 func (r *run) emit(e event) {
-	if r.trace != nil {
-		r.record(&e)
-	}
 	if r.reg != nil {
 		r.count(&e)
 	}
@@ -174,50 +151,6 @@ func (r *run) emit(e event) {
 
 // members returns the input indices of a group.
 func (r *run) members(first, n int32) []int { return r.arena[first : first+n] }
-
-// record is the trace fold: it maps each event to its sim.Ev kind and
-// routes it into the front trace's runs, an admission shed into a with
-// the arrivals, a retire into c, and every other decision into b.
-func (r *run) record(e *event) {
-	f := &r.front
-	switch e.kind {
-	case evArrival:
-		f.a = append(f.a, r.taskEvent(sim.EvArrival, e.time, int(e.req)))
-	case evShed:
-		if e.cause == obs.CauseShedAdmission {
-			f.a = append(f.a, r.taskEvent(sim.EvShed, e.time, int(e.req)))
-			return
-		}
-		for _, m := range r.members(e.first, e.n) {
-			f.b = append(f.b, r.taskEvent(sim.EvShed, e.time, m))
-		}
-	case evBatch:
-		ev := r.taskEvent(sim.EvBatch, e.time, r.arena[e.first])
-		ev.Alloc = int(e.n)
-		f.b = append(f.b, ev)
-	case evDispatch:
-		ev := r.taskEvent(sim.EvDispatch, e.time, r.arena[e.first])
-		ev.Unit = int(e.chip)
-		f.b = append(f.b, ev)
-	case evMigrate:
-		ev := r.taskEvent(sim.EvMigrate, e.time, r.arena[e.first])
-		ev.Unit, ev.Depth = int(e.chip), int(e.from)
-		f.b = append(f.b, ev)
-	case evBoot:
-		if !e.initial {
-			f.b = append(f.b, sim.Event{Time: e.time, Kind: sim.EvScaleUp, Unit: int(e.chip)})
-		}
-	case evDrain:
-		f.b = append(f.b, sim.Event{Time: e.time, Kind: sim.EvDrain, Unit: int(e.chip)})
-	case evRetire:
-		f.c = append(f.c, sim.Event{Time: e.time, Kind: sim.EvScaleDown, Unit: int(e.chip)})
-	}
-}
-
-// taskEvent is the trace event of the given kind for input request i.
-func (r *run) taskEvent(kind sim.EventKind, t float64, i int) sim.Event {
-	return sim.Event{Time: t, Kind: kind, Task: r.reqs[i].ID, Model: r.reqs[i].Model}
-}
 
 // count is the metrics fold.
 func (r *run) count(e *event) {
@@ -250,13 +183,15 @@ func (r *run) count(e *event) {
 		}
 	case evDrain:
 		r.drains.Inc()
-		r.scaleDown.Inc()
 	}
 }
 
-// countOutcome writes the registry counters that equal an Outcome tally,
-// once, when the run finishes.
-func (r *run) countOutcome(out *Outcome) {
+// finish writes the registry counters that equal an Outcome tally, once,
+// when the run finishes.
+func (r *run) finish(out *Outcome) {
+	if r.reg == nil {
+		return
+	}
 	r.reg.Counter("cluster_requests_total").Add(float64(len(r.reqs)))
 	if r.asc != nil {
 		r.reg.Counter("cluster_drain_shed_total").Add(float64(out.ShedDrain))
@@ -335,60 +270,3 @@ func (r *run) log(e *event) {
 		r.fleet.Note(e.time, int(e.chip), obs.FleetRetire)
 	}
 }
-
-// finish writes what folds from the finished run: the registry counters
-// that equal Outcome tallies, and the front trace's runs, appended to
-// Config.Trace. The future-dated scale-downs are sorted and merged into
-// the dispatch-time run first, so exportFront sees two runs again.
-func (r *run) finish(out *Outcome) {
-	if r.reg != nil {
-		r.countOutcome(out)
-	}
-	if r.trace != nil {
-		b, c := r.front.b, r.front.c
-		if len(c) > 0 {
-			slices.SortStableFunc(c, eventBefore)
-			b = mergeEvents(make([]sim.Event, 0, len(b)+len(c)), b, c)
-		}
-		exportFront(r.trace, r.front.a, b)
-	}
-}
-
-// exportFront appends the two front-door event runs to the trace in
-// stable time order. Stage 1 walks arrivals in order, and dispatch
-// instants almost never move backwards, so a two-pointer merge that
-// prefers run a on ties reproduces exactly what sort.SliceStable over the
-// concatenation gives. The exception: flush closes a window due within
-// simtime.Eps of an admit at the window's own close instant, which can
-// fall just after that admit's max-batch dispatch. A run that is not in
-// time order takes the stable sort instead.
-func exportFront(tr *sim.Trace, a, b []sim.Event) {
-	if !slices.IsSortedFunc(a, eventBefore) || !slices.IsSortedFunc(b, eventBefore) {
-		all := append(append(make([]sim.Event, 0, len(a)+len(b)), a...), b...)
-		sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
-		tr.Events = append(tr.Events, all...)
-		return
-	}
-	tr.Reserve(len(a) + len(b))
-	tr.Events = mergeEvents(tr.Events, a, b)
-}
-
-// mergeEvents appends the stable two-pointer merge of the time-ordered
-// runs a and b to dst, a first on ties.
-func mergeEvents(dst, a, b []sim.Event) []sim.Event {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Time <= b[j].Time {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
-// eventBefore orders trace events by time.
-func eventBefore(x, y sim.Event) int { return cmp.Compare(x.Time, y.Time) }

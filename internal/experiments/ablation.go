@@ -32,14 +32,13 @@ type PolicyRow struct {
 // fission-capable variants (DESIGN.md's scheduling-vs-architecture
 // decomposition).
 func (s *Suite) SchedulerAblation(sc workload.Scenario) ([]PolicyRow, error) {
-	cfg := s.Planaria.Cfg
 	variants := []struct {
 		name string
 		sys  metrics.System
 	}{
 		{"spatial (Alg. 1)", s.Planaria},
-		{"equal-share", withPolicy(s.Planaria, func() sim.Policy { return sched.NewEqualShare(cfg) })},
-		{"fcfs", withPolicy(s.Planaria, func() sim.Policy { return sched.NewFCFS(cfg) })},
+		{"equal-share", withPolicy(s.Planaria, func() sim.Policy { return sched.NewEqualShare() })},
+		{"fcfs", withPolicy(s.Planaria, func() sim.Policy { return sched.NewFCFS() })},
 		{"prema (monolithic)", s.PREMA},
 	}
 	var rows []PolicyRow

@@ -41,13 +41,13 @@ func deadChipSchedule(units, pods int, at float64) *fault.Schedule {
 //     unroutable;
 //   - autoscale: a burst on three slots under a Script controller that
 //     drains one slot while the others are alive (migration), then
-//     another after every chip has died (drain shed), with future-dated
-//     scale-down events in the trace;
+//     another after every chip has died (drain shed), with retires
+//     logged at future instants;
 //   - eps-window: a batch window that closes within simtime.Eps after
-//     another model's max-batch dispatch, so the dispatch-time events are
-//     not monotone and the trace export takes its stable-sort fallback.
+//     another model's max-batch dispatch, so dispatch instants move
+//     backwards in emit order.
 //
-// Every case runs with the front-door trace, an observer and attribution.
+// Every case runs with an observer and attribution.
 func clusterPathCases(s *Suite) ([]clusterPathCase, error) {
 	sys := s.Planaria
 	units := sys.Cfg.NumSubarrays()
@@ -123,8 +123,8 @@ func clusterPathCases(s *Suite) ([]clusterPathCase, error) {
 // renderClusterPaths runs the cluster-paths matrix and renders each
 // outcome: finishes and latencies in hex, every tally, a digest of each
 // chip's dispatch stream, the attribution links and front-door phase
-// totals, the front-door trace, the front metrics, a digest of the
-// front-door timeline, and the fleet log.
+// totals, the front metrics, a digest of the front-door timeline, and the
+// fleet log.
 func renderClusterPaths(s *Suite) ([]byte, error) {
 	cases, err := clusterPathCases(s)
 	if err != nil {
@@ -133,7 +133,7 @@ func renderClusterPaths(s *Suite) ([]byte, error) {
 	var b strings.Builder
 	for _, c := range cases {
 		cfg := c.cfg
-		cfg.Trace, cfg.Obs, cfg.Attrib = &sim.Trace{}, obs.New(), true
+		cfg.Obs, cfg.Attrib = obs.New(), true
 		out, err := cluster.Run(cfg, c.reqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
@@ -160,10 +160,6 @@ func renderClusterPaths(s *Suite) ([]byte, error) {
 			}
 			fmt.Fprintf(&b, "req %3d id=%3d fin=%x lat=%x chip=%d pos=%d cause=%v front=%x\n",
 				i, r.ID, out.Finishes[i], out.Latency[i], a.Chip[i], a.Pos[i], a.Front.Cause(i), dur)
-		}
-		for _, e := range cfg.Trace.Events {
-			fmt.Fprintf(&b, "ev %x %v task=%d model=%s unit=%d alloc=%d depth=%d\n",
-				e.Time, e.Kind, e.Task, e.Model, e.Unit, e.Alloc, e.Depth)
 		}
 		b.WriteString(cfg.Obs.Registry().Snapshot().Text())
 		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(cfg.Obs.Tracer().JSON()))

@@ -328,6 +328,34 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestGoldenFiles fails on a stale file under testdata/golden: one that
+// no goldenCase writes, or a case stored both verbatim and as a digest.
+// -update removes the other form of the case it rewrites, so either
+// shape is left behind only by a renamed or deleted case, or by a
+// partial edit.
+func TestGoldenFiles(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, e := range entries {
+		have[e.Name()] = true
+	}
+	cases := map[string]bool{}
+	for _, c := range goldenCases {
+		cases[c.name] = true
+		if have[c.name] && have[c.name+".sha256"] {
+			t.Errorf("golden %s is stored both verbatim and as %s.sha256", c.name, c.name)
+		}
+	}
+	for _, e := range entries {
+		if !cases[strings.TrimSuffix(e.Name(), ".sha256")] {
+			t.Errorf("testdata/golden/%s matches no golden case", e.Name())
+		}
+	}
+}
+
 // checkGolden compares got with testdata/golden/name (or, for an
 // artifact over goldenMaxBytes, its digest with name.sha256) and reports
 // the first differing line. With -update it rewrites the file instead.

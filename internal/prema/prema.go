@@ -28,8 +28,6 @@ import (
 // throughput derate the serving engine applies (sim.FaultDerate), and a
 // uniform derate leaves the shortest-estimated-job order unchanged.
 type Token struct {
-	Cfg arch.Config
-
 	// state holds each task's token by value, stamped with the last round
 	// that saw the task; round counts decide invocations.
 	state map[int]tokenState
@@ -65,9 +63,11 @@ const (
 	schedulingQuantum = 500e-6
 )
 
-// NewToken returns the PREMA policy for a hardware configuration.
-func NewToken(cfg arch.Config) *Token {
-	return &Token{Cfg: cfg, state: make(map[int]tokenState)}
+// NewToken returns the PREMA policy. It ignores the hardware
+// configuration: the policy ranks candidates by remaining cycles, which
+// need no conversion to seconds.
+func NewToken(arch.Config) *Token {
+	return &Token{state: make(map[int]tokenState)}
 }
 
 // Name implements sim.Policy.

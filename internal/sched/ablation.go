@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"planaria/internal/arch"
 	"planaria/internal/sim"
 )
 
@@ -15,12 +14,10 @@ import (
 // FCFS dedicates the whole chip to the oldest dispatched task and runs
 // tasks back to back — fission-capable hardware without spatial
 // co-location (each task still benefits from per-layer fission shapes).
-type FCFS struct {
-	Cfg arch.Config
-}
+type FCFS struct{}
 
 // NewFCFS returns the run-to-completion policy.
-func NewFCFS(cfg arch.Config) *FCFS { return &FCFS{Cfg: cfg} }
+func NewFCFS() *FCFS { return &FCFS{} }
 
 // Name implements sim.Policy.
 func (f *FCFS) Name() string { return "FCFS" }
@@ -69,8 +66,6 @@ var _ sim.SliceAllocator = (*FCFS)(nil)
 // ignoring priorities, slack, and demand — spatial co-location without
 // Algorithm 1's QoS-aware estimation and scoring.
 type EqualShare struct {
-	Cfg arch.Config
-
 	order []int // scratch reused across AllocateInto invocations
 	srt   arrivalSorter
 }
@@ -94,7 +89,7 @@ func (x *arrivalSorter) Less(i, j int) bool {
 }
 
 // NewEqualShare returns the naive spatial policy.
-func NewEqualShare(cfg arch.Config) *EqualShare { return &EqualShare{Cfg: cfg} }
+func NewEqualShare() *EqualShare { return &EqualShare{} }
 
 // Name implements sim.Policy.
 func (e *EqualShare) Name() string { return "EqualShare" }

@@ -10,7 +10,7 @@ import (
 func TestFCFSPicksOldestAndSticks(t *testing.T) {
 	cfg := arch.Planaria()
 	p := toyProg(t, cfg)
-	pol := NewFCFS(cfg)
+	pol := NewFCFS()
 	a := mkTask(t, 0, p, 1, 5)
 	b := mkTask(t, 1, p, 1, 9)
 	a.Req.Arrival = 0.002
@@ -29,7 +29,7 @@ func TestFCFSPicksOldestAndSticks(t *testing.T) {
 }
 
 func TestFCFSEmpty(t *testing.T) {
-	if got := NewFCFS(arch.Planaria()).Allocate(0, nil, 16); len(got) != 0 {
+	if got := NewFCFS().Allocate(0, nil, 16); len(got) != 0 {
 		t.Fatalf("empty allocation = %v", got)
 	}
 }
@@ -37,7 +37,7 @@ func TestFCFSEmpty(t *testing.T) {
 func TestEqualShareDivides(t *testing.T) {
 	cfg := arch.Planaria()
 	p := toyProg(t, cfg)
-	pol := NewEqualShare(cfg)
+	pol := NewEqualShare()
 	tasks := []*sim.Task{
 		mkTask(t, 0, p, 1, 1),
 		mkTask(t, 1, p, 1, 11),
@@ -60,7 +60,7 @@ func TestEqualShareDivides(t *testing.T) {
 func TestEqualShareOversubscribed(t *testing.T) {
 	cfg := arch.Planaria()
 	p := toyProg(t, cfg)
-	pol := NewEqualShare(cfg)
+	pol := NewEqualShare()
 	var tasks []*sim.Task
 	for i := 0; i < 20; i++ {
 		tk := mkTask(t, i, p, 1, 5)
@@ -92,11 +92,10 @@ func TestEqualShareOversubscribed(t *testing.T) {
 }
 
 func TestAblationPoliciesNames(t *testing.T) {
-	cfg := arch.Planaria()
-	if NewFCFS(cfg).Name() == "" || NewEqualShare(cfg).Name() == "" {
+	if NewFCFS().Name() == "" || NewEqualShare().Name() == "" {
 		t.Fatal("policies need names")
 	}
-	if NewFCFS(cfg).Quantum() != 0 || NewEqualShare(cfg).Quantum() != 0 {
+	if NewFCFS().Quantum() != 0 || NewEqualShare().Quantum() != 0 {
 		t.Fatal("ablation policies are event-driven")
 	}
 }

@@ -85,9 +85,6 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		return
 	}
 	s := e.sp
-	if s.cps == 0 {
-		s.cps = s.Cfg.CyclesPerSecond()
-	}
 	cps := s.cps
 	maxA := s.chainCap(total)
 	if cap(e.cands) < len(tasks) {
@@ -200,9 +197,6 @@ func (e *Elastic) NextRefission(now float64, tasks []*sim.Task, total int) float
 		return math.Inf(1)
 	}
 	s := e.sp
-	if s.cps == 0 {
-		s.cps = s.Cfg.CyclesPerSecond()
-	}
 	cps := s.cps
 	starved := false
 	for _, t := range tasks {

@@ -41,8 +41,7 @@ type Spatial struct {
 
 	// cps caches Cfg.CyclesPerSecond(): predictTime runs for every task
 	// at every scheduling event, and calling a value-receiver Config
-	// method there copies the whole Config per prediction. Lazily
-	// initialized so zero-value literals (tests) still work.
+	// method there copies the whole Config per prediction.
 	cps float64
 
 	// Scratch buffers reused across AllocateInto invocations. The engine
@@ -102,7 +101,7 @@ const minSlack = 1e-6
 
 // NewSpatial returns the policy for a hardware configuration.
 func NewSpatial(cfg arch.Config) *Spatial {
-	return &Spatial{Cfg: cfg}
+	return &Spatial{Cfg: cfg, cps: cfg.CyclesPerSecond()}
 }
 
 // Name implements sim.Policy.
@@ -151,9 +150,6 @@ func (s *Spatial) chainCap(alloc int) int {
 // of the task's remaining cycles at a candidate allocation, converted to
 // seconds (the task monitor keeps the progress used by RemainingCycles).
 func (s *Spatial) predictTime(t *sim.Task, alloc int) float64 {
-	if s.cps == 0 {
-		s.cps = s.Cfg.CyclesPerSecond()
-	}
 	// float64(cycles)/cps is the exact expression Cfg.Seconds evaluates,
 	// minus the per-call Config copy.
 	return float64(t.RemainingCycles(s.chainCap(alloc))) / s.cps

@@ -12,7 +12,7 @@ import (
 )
 
 // The event-engine work (DESIGN.md §12) guarantees that steady-state
-// tracing stays off the allocator: recording into a Reserved buffer and
+// tracing stays off the allocator: recording into a reserved buffer and
 // the disabled-tracing no-op path must both be alloc-free. These tests
 // pin that contract so a future refactor that reintroduces a per-event
 // allocation fails loudly instead of silently costing 1M allocs per
@@ -20,7 +20,7 @@ import (
 
 func TestTraceRecordZeroAllocs(t *testing.T) {
 	tr := &Trace{}
-	tr.Reserve(2048)
+	tr.reserve(2048)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.record(Event{Time: float64(i), Kind: EvAlloc, Task: i, Alloc: 4})
@@ -35,7 +35,7 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.record(Event{Kind: EvFinish, Task: 1})
-		tr.Reserve(64)
+		tr.reserve(64)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-Trace no-op path: %.1f allocs/op, want 0", allocs)
@@ -44,13 +44,13 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 
 func TestTraceReserveAmortizes(t *testing.T) {
 	tr := &Trace{}
-	tr.Reserve(100)
+	tr.reserve(100)
 	if cap(tr.Events) < 100 {
-		t.Fatalf("Reserve(100) left cap %d", cap(tr.Events))
+		t.Fatalf("reserve(100) left cap %d", cap(tr.Events))
 	}
 	// A second Reserve within the existing headroom must not reallocate.
 	before := cap(tr.Events)
-	tr.Reserve(50)
+	tr.reserve(50)
 	if cap(tr.Events) != before {
 		t.Fatalf("Reserve within capacity reallocated: cap %d -> %d", before, cap(tr.Events))
 	}

@@ -55,7 +55,7 @@ func (r *run) attach(n *Node) {
 	// A typical request contributes arrival + alloc + finish plus a queue
 	// sample to the trace; reserving per request keeps steady-state
 	// tracing off the allocator.
-	r.trace.Reserve(4 * len(r.reqs))
+	r.trace.reserve(4 * len(r.reqs))
 	if r.tracer != nil {
 		r.tracks = slices.Grow(r.tracks[:0], len(r.reqs))[:len(r.reqs)]
 		clear(r.tracks)

@@ -45,30 +45,6 @@ const (
 	// faulted unit index, Up distinguishes repair from landing, and Model
 	// carries the fault kind name ("pe", "subarray", "link").
 	EvFault
-	// EvBatch marks a cluster dynamic-batching window closing: Task is
-	// the batch leader's request ID, Alloc carries the batch size, Model
-	// the batched model. Only cluster front-door traces contain it; chip
-	// traces never do.
-	EvBatch
-	// EvDispatch marks the cluster balancer assigning a request (or batch
-	// leader) to a chip: Unit is the chip index. Only cluster front-door
-	// traces contain it.
-	EvDispatch
-	// EvScaleUp marks the cluster autoscaler booting a chip slot: Unit is
-	// the slot index; the slot becomes routable after its boot latency.
-	// Fleet events are not bound to a task. Only cluster front-door
-	// traces contain the four autoscaler kinds.
-	EvScaleUp
-	// EvScaleDown marks a drained chip slot powering off (its in-flight
-	// work finished): Unit is the slot index.
-	EvScaleDown
-	// EvDrain marks a chip slot beginning a graceful drain — it stops
-	// admitting new work: Unit is the slot index.
-	EvDrain
-	// EvMigrate marks a dispatch group pulled off a draining chip and
-	// re-routed: Task is the batch leader's request ID, Depth the source
-	// chip, Unit the destination chip.
-	EvMigrate
 	// EvRefission marks an elastic re-fission: the scheduler resized a
 	// task's allocation at a tile boundary — outside any arrival,
 	// completion, quantum, or fault event — to absorb an arrival or grow
@@ -97,8 +73,7 @@ const (
 var eventKindNames = [...]string{
 	EvArrival: "arrive", EvAlloc: "alloc", EvFinish: "finish", EvPreempt: "preempt",
 	EvQueue: "queue", EvKill: "kill", EvRetry: "retry", EvShed: "shed", EvReject: "reject",
-	EvFault: "fault", EvBatch: "batch", EvDispatch: "dispatch", EvScaleUp: "scale-up",
-	EvScaleDown: "scale-down", EvDrain: "drain", EvMigrate: "migrate", EvRefission: "refission",
+	EvFault: "fault", EvRefission: "refission",
 }
 
 // String names the event kind.
@@ -148,7 +123,7 @@ type Trace struct {
 }
 
 // record appends an event (nil-safe: tracing is optional). Appending
-// within a Reserved buffer's capacity allocates nothing — the engine
+// within a reserved buffer's capacity allocates nothing — the engine
 // reserves an arrival-count-based estimate up front so steady-state
 // recording stays off the allocator.
 func (tr *Trace) record(e Event) {
@@ -158,9 +133,9 @@ func (tr *Trace) record(e Event) {
 	tr.Events = append(tr.Events, e)
 }
 
-// Reserve grows the trace's capacity so at least n more events append
+// reserve grows the trace's capacity so at least n more events append
 // without reallocating. Nil-safe no-op, like record.
-func (tr *Trace) Reserve(n int) {
+func (tr *Trace) reserve(n int) {
 	if tr == nil || n <= cap(tr.Events)-len(tr.Events) {
 		return
 	}
@@ -193,7 +168,7 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("sim: queue sample depth=%d running=%d at event %d", e.Depth, e.Running, i)
 			}
 			continue
-		case EvFault, EvScaleUp, EvScaleDown, EvDrain:
+		case EvFault:
 			continue // not bound to a task
 		}
 		if !arrived[e.Task] {
@@ -223,9 +198,6 @@ func (tr *Trace) String() string {
 			}
 			fmt.Fprintf(&b, "%-7s %s unit %d %s\n", e.Kind, e.Model, e.Unit, dir)
 			continue
-		case EvScaleUp, EvScaleDown, EvDrain:
-			fmt.Fprintf(&b, "%-10s chip %d\n", e.Kind, e.Unit)
-			continue
 		}
 		fmt.Fprintf(&b, "%-7s task %-3d %-16s", e.Kind, e.Task, e.Model)
 		switch e.Kind {
@@ -233,12 +205,6 @@ func (tr *Trace) String() string {
 			fmt.Fprintf(&b, " -> %d subarrays", e.Alloc)
 		case EvKill, EvRetry:
 			fmt.Fprintf(&b, " attempt %d", e.Attempt)
-		case EvBatch:
-			fmt.Fprintf(&b, " size %d", e.Alloc)
-		case EvDispatch:
-			fmt.Fprintf(&b, " -> chip %d", e.Unit)
-		case EvMigrate:
-			fmt.Fprintf(&b, " chip %d -> chip %d", e.Depth, e.Unit)
 		}
 		b.WriteByte('\n')
 	}
