@@ -10,9 +10,9 @@ import (
 // event structs and format strings even when observability is off.
 //
 // Guard-required probes: the event loop's run.emit (the engine guards
-// each with `if r.observed { ... }`) and TraceBuilder.Span/Instant/
-// Counter, their registered-track forms SpanOn/CounterOn and Track
-// (each builds a name value and its args even when the builder is nil).
+// each with `if r.observed { ... }`) and TraceBuilder.Instant/Counter,
+// the registered-track forms SpanOn/CounterOn and Track (each builds a
+// name value and its args even when the builder is nil).
 // The known nil-safe inline paths — Counter.Inc/Add, Gauge.Set/Max,
 // Histogram.Observe, Registry.Counter/Gauge/Histogram, Observer
 // accessors, and Trace.reserve — are cheap no-ops when disabled and may
@@ -21,7 +21,7 @@ import (
 // exempts a call.
 var ObsGuard = &Analyzer{
 	Name: "obsguard",
-	Doc: "requires nil/enabled guards around expensive obs probes (run.emit, TraceBuilder.Span/" +
+	Doc: "requires nil/enabled guards around expensive obs probes (run.emit, TraceBuilder.SpanOn/" +
 		"Instant/Counter) in //perf:hot code; nil-safe probes pass unguarded",
 	Run: runObsGuard,
 }
@@ -30,7 +30,7 @@ var ObsGuard = &Analyzer{
 // code, keyed by receiver type name.
 var guardRequired = map[string]map[string]bool{
 	"run":          {"emit": true},
-	"TraceBuilder": {"Span": true, "Instant": true, "Counter": true, "SpanOn": true, "CounterOn": true, "Track": true},
+	"TraceBuilder": {"Instant": true, "Counter": true, "SpanOn": true, "CounterOn": true, "Track": true},
 }
 
 func runObsGuard(pass *Pass) error {

@@ -86,10 +86,6 @@ type Config struct {
 	// Shed is each chip's local admission-control policy.
 	Shed sim.ShedPolicy
 
-	// Obs, when non-nil, receives the front-door metrics and timeline
-	// (dispatch counters, batch-size histogram, cluster latency
-	// histograms, batch spans).
-	Obs *obs.Observer
 	// Observe attaches a fresh obs.Observer to every chip node (exposed
 	// on ChipResult.Obs for artifact comparison).
 	Observe bool
@@ -385,7 +381,7 @@ type run struct {
 	membersTotal int       // members over all live dispatch groups
 	errs         []error   // per-chip simulation errors
 
-	// observed guards every per-request emit: Obs or Attrib is attached.
+	// observed guards every per-request emit: Attrib is on.
 	observed bool
 	views
 }
@@ -399,8 +395,6 @@ var runPool = sync.Pool{New: func() any { return new(run) }}
 func (r *run) release() {
 	clear(r.chips)
 	clear(r.errs)
-	clear(r.perChip)
-	clear(r.latHists)
 	*r = run{
 		col: columns{
 			arrs: r.col.arrs[:0], dls: r.col.dls[:0], works: r.col.works[:0],
@@ -413,7 +407,6 @@ func (r *run) release() {
 		ends:       r.ends[:0],
 		arena:      r.arena[:0],
 		errs:       r.errs[:0],
-		views:      views{perChip: r.perChip[:0], latHists: r.latHists[:0]},
 	}
 }
 
@@ -459,7 +452,6 @@ func Run(cfg Config, reqs []workload.Request) (*Outcome, error) {
 		return nil, err
 	}
 	out := r.merge()
-	r.finish(out)
 	return out, nil
 }
 
@@ -816,9 +808,6 @@ func (r *run) dispatch(tD float64, first, k int, model int32) {
 			work = mw
 		}
 	}
-	if r.batching && r.observed {
-		r.emit(event{kind: evBatch, time: tD, first: int32(first), n: int32(k)})
-	}
 	c := r.route(tD, model)
 	if c < 0 {
 		if r.observed {
@@ -832,8 +821,7 @@ func (r *run) dispatch(tD float64, first, k int, model int32) {
 		cost: col.models[model].iso * mw, at: tD, deadline: deadline, work: work,
 	})
 	if r.observed {
-		r.emit(event{kind: evDispatch, time: tD, backlog: r.chips[c].busyUntil - tD,
-			first: int32(first), n: int32(k), chip: int32(c), pos: int32(pos)})
+		r.emit(event{kind: evDispatch, time: tD, first: int32(first), n: int32(k), chip: int32(c), pos: int32(pos)})
 	}
 	r.out.Batches++
 	r.membersTotal += k
@@ -963,9 +951,6 @@ func (r *run) merge() *Outcome {
 			for _, m := range members {
 				out.Finishes[m] = fin
 				out.Latency[m] = fin - col.arrs[m]
-				if r.observed {
-					r.emit(event{kind: evDone, time: fin, req: int32(m)})
-				}
 			}
 			out.Completed += len(members)
 		case col.models[col.mids[members[0]]].known:

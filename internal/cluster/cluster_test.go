@@ -12,7 +12,6 @@ import (
 	"planaria/internal/energy"
 	"planaria/internal/fault"
 	"planaria/internal/metrics"
-	"planaria/internal/obs"
 	"planaria/internal/prema"
 	"planaria/internal/sched"
 	"planaria/internal/sim"
@@ -300,8 +299,7 @@ func TestBatchingGroupsWithinWindow(t *testing.T) {
 		mk(2, 0.0006, "toy-b"), // different model: own batch
 		mk(3, 0.0030, "toy-a"), // after 0's window closed
 	}
-	o := obs.New()
-	out, err := Run(Config{System: sys, Chips: 1, BatchWindow: 1e-3, Obs: o}, reqs)
+	out, err := Run(Config{System: sys, Chips: 1, BatchWindow: 1e-3}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +330,6 @@ func TestBatchingGroupsWithinWindow(t *testing.T) {
 	if out.Latency[0] <= out.Latency[1] {
 		t.Errorf("leader latency %g should exceed later member's %g", out.Latency[0], out.Latency[1])
 	}
-	// Three window closes: one of size 2 and two of size 1.
-	for _, sr := range o.Registry().Snapshot().Series {
-		if sr.Name == "cluster_batch_size" {
-			if sr.Count != 3 || sr.Sum != 4 || sr.Buckets[0] != 2 || sr.Buckets[1] != 1 {
-				t.Errorf("batch-size histogram count %d sum %g buckets %v, want 3 closes: two of 1, one of 2",
-					sr.Count, sr.Sum, sr.Buckets)
-			}
-			return
-		}
-	}
-	t.Error("no cluster_batch_size histogram")
 }
 
 func TestBatchingMaxBatchClosesEarly(t *testing.T) {
@@ -594,8 +581,8 @@ func TestClusterRunDeterministic(t *testing.T) {
 }
 
 // TestRunRejectsMalformedRequests feeds cluster.Run one malformed field
-// at a time: each call fails before any event is recorded, with an error
-// naming the request and the field.
+// at a time: each call fails with an error naming the request and the
+// field.
 func TestRunRejectsMalformedRequests(t *testing.T) {
 	sys := spatialSystem(t)
 	cases := []struct {
@@ -615,14 +602,10 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 	for _, c := range cases {
 		reqs := genReqs(4, 100, 1, 1)
 		c.edit(&reqs[2])
-		o := obs.New()
-		_, err := Run(Config{System: sys, Chips: 2, Obs: o}, reqs)
+		_, err := Run(Config{System: sys, Chips: 2}, reqs)
 		var re *workload.RequestError
 		if !errors.As(err, &re) || re.Index != 2 || re.Field != c.field {
 			t.Errorf("%s: err = %v, want a RequestError for index 2, field %s", c.name, err, c.field)
-		}
-		if n := len(o.Registry().Snapshot().Series); n != 0 {
-			t.Errorf("%s: %d series registered before the error", c.name, n)
 		}
 	}
 
@@ -650,13 +633,10 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 				reqs[2].Arrival, want = math.NaN(), c.bad
 			}
 			cfg := c.cfg
-			cfg.System, cfg.Chips, cfg.Obs = sys, 2, obs.New()
+			cfg.System, cfg.Chips = sys, 2
 			_, err := Run(cfg, reqs)
 			if err == nil || err.Error() != want {
 				t.Errorf("%s (malformed request %v): err = %v, want %s", c.name, malformed, err, want)
-			}
-			if n := len(cfg.Obs.Registry().Snapshot().Series); n != 0 {
-				t.Errorf("%s (malformed request %v): %d series before the error", c.name, malformed, n)
 			}
 		}
 	}

@@ -123,8 +123,7 @@ func clusterPathCases(s *Suite) ([]clusterPathCase, error) {
 // renderClusterPaths runs the cluster-paths matrix and renders each
 // outcome: finishes and latencies in hex, every tally, a digest of each
 // chip's dispatch stream, the attribution links and front-door phase
-// totals, the front metrics, a digest of the front-door timeline, and the
-// fleet log.
+// totals, and the fleet log.
 func renderClusterPaths(s *Suite) ([]byte, error) {
 	cases, err := clusterPathCases(s)
 	if err != nil {
@@ -133,7 +132,7 @@ func renderClusterPaths(s *Suite) ([]byte, error) {
 	var b strings.Builder
 	for _, c := range cases {
 		cfg := c.cfg
-		cfg.Obs, cfg.Attrib = obs.New(), true
+		cfg.Attrib = true
 		out, err := cluster.Run(cfg, c.reqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
@@ -161,8 +160,6 @@ func renderClusterPaths(s *Suite) ([]byte, error) {
 			fmt.Fprintf(&b, "req %3d id=%3d fin=%x lat=%x chip=%d pos=%d cause=%v front=%x\n",
 				i, r.ID, out.Finishes[i], out.Latency[i], a.Chip[i], a.Pos[i], a.Front.Cause(i), dur)
 		}
-		b.WriteString(cfg.Obs.Registry().Snapshot().Text())
-		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(cfg.Obs.Tracer().JSON()))
 		for _, e := range out.Fleet.Events() {
 			fmt.Fprintf(&b, "fleet %x chip=%d %v\n", e.Time, e.Chip, e.Kind)
 		}
@@ -180,10 +177,9 @@ var chipTimelineTemplates = map[string][]string{
 // renderChipTimelines pins each chip's own timeline. Two chips serve an
 // overloaded Workload-A/QoS-H stream whose request IDs cross 1000, under
 // Spatial and under the elastic policy, with transient subarray faults
-// on chip 0, batching, and an observer on the front door and on every
-// chip. It renders a digest and the length of every chip's timeline and
-// of the front door's, and fails if a chip timeline misses a name
-// template of chipTimelineTemplates.
+// on chip 0, batching, and an observer on every chip. It renders a
+// digest and the length of every chip's timeline, and fails if a chip
+// timeline misses a name template of chipTimelineTemplates.
 func renderChipTimelines(s *Suite) ([]byte, error) {
 	reqs, err := workload.Generate(workload.ScenarioA(), workload.QoSHard, 1500, 120, 6)
 	if err != nil {
@@ -207,15 +203,13 @@ func renderChipTimelines(s *Suite) ([]byte, error) {
 			BatchWindow: 1e-3, MaxBatch: 3,
 			Faults:    []*fault.Schedule{sched, nil},
 			FaultMode: sim.FaultFission, Shed: sim.ShedDoomed,
-			Obs: obs.New(), Observe: true,
+			Observe: true,
 		}
 		out, err := cluster.Run(cfg, reqs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sys.Name, err)
 		}
 		fmt.Fprintf(&b, "== %s completed=%d killed=%d shed=%d\n", sys.Name, out.Completed, out.Killed, out.ShedChips)
-		front := cfg.Obs.Tracer()
-		fmt.Fprintf(&b, "front events=%d sha256=%x\n", front.Len(), sha256.Sum256(front.JSON()))
 		all := ""
 		for i, cr := range out.PerChip {
 			tl := cr.Obs.Tracer()

@@ -38,14 +38,10 @@ func tracedSystem(sys metrics.System, o *obs.Observer, reqs []workload.Request) 
 		Policy:   pol,
 		Programs: sys.Programs,
 		Params:   sys.Params,
-		Trace:    &sim.Trace{},
 		Obs:      o,
 	}
 	out, err := node.Run(reqs)
 	if err != nil {
-		return nil, fmt.Errorf("traced %s run: %w", sys.Name, err)
-	}
-	if err := node.Trace.Validate(); err != nil {
 		return nil, fmt.Errorf("traced %s run: %w", sys.Name, err)
 	}
 	return out, nil

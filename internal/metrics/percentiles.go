@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"planaria/internal/obs"
+	"planaria/internal/simtime"
 	"planaria/internal/workload"
 )
 
@@ -55,7 +56,7 @@ func GroupLatencies(reqs []workload.Request, latencies, finishes []float64) (map
 	misses := map[string]int{}
 	for i, r := range reqs {
 		byModel[r.Model] = append(byModel[r.Model], latencies[i])
-		if finishes[i] < 0 || finishes[i] > r.Deadline+1e-12 {
+		if finishes[i] < 0 || simtime.After(finishes[i], r.Deadline) {
 			misses[r.Model]++
 		}
 	}

@@ -120,7 +120,6 @@ func TestNilTraceBuilderZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tb.Counter("c", "s", 0, 1)
 		tb.Instant("c", Fmt("x %d").Int(1), 0)
-		tb.Span("c", Lit("x"), 0, 1)
 		tb.CounterOn(tb.Track(Lit("c")), "s", 0, 1)
 		tb.SpanOn(-1, Lit("x"), 0, 1)
 		_ = tb.WithPrefix("p/")

@@ -199,19 +199,6 @@ func TestOccupancyIntervalPartition(t *testing.T) {
 	}
 }
 
-func TestOccupancySpanFeedAndCloseHorizon(t *testing.T) {
-	o := NewOccupancy(8)
-	o.AddBusy(4, 30)
-	o.AddFaulted(2, 10)
-	o.CloseHorizon(40)
-	if o.Horizon != 40 {
-		t.Fatalf("horizon = %d", o.Horizon)
-	}
-	if got := o.Busy + o.Idle + o.Faulted + o.Reconfig; got != o.Units*o.Horizon {
-		t.Fatalf("partition broke: %d != %d (occ %+v)", got, o.Units*o.Horizon, o)
-	}
-}
-
 func TestOccupancyPadToAndMerge(t *testing.T) {
 	a := NewOccupancy(4)
 	a.Interval(10, 4, 0, 0)
@@ -253,9 +240,6 @@ func TestOccupancyDecisionsAndNil(t *testing.T) {
 
 	var nilO *Occupancy
 	nilO.Interval(10, 1, 1, 1)
-	nilO.AddBusy(1, 1)
-	nilO.AddFaulted(1, 1)
-	nilO.CloseHorizon(5)
 	nilO.PadTo(5)
 	nilO.Merge(o)
 	nilO.NoteDecision(true, 1, 1)
@@ -419,7 +403,6 @@ func TestNilAttribProbesZeroAllocs(t *testing.T) {
 		l.Close(0, 3, CauseDone)
 		_ = l.Durations(0, &dur)
 		o.Interval(10, 1, 0, 0)
-		o.AddBusy(1, 1)
 		o.NoteDecision(true, 1, 1)
 	})
 	if allocs != 0 {

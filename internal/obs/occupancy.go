@@ -1,10 +1,9 @@
 package obs
 
 // Occupancy is the subarray/pod occupancy accountant (DESIGN.md §14).
-// It partitions every wall-cycle of every compute unit (subarray on a
-// chip, band on a systolic grid) into exactly one of four states —
-// busy, idle, faulted, reconfig — in integer unit-cycles, so the
-// conservation identity
+// It partitions every wall-cycle of every compute unit (a subarray of a
+// chip) into exactly one of four states — busy, idle, faulted,
+// reconfig — in integer unit-cycles, so the conservation identity
 //
 //	Busy + Idle + Faulted + Reconfig == Units × Horizon
 //
@@ -15,8 +14,6 @@ package obs
 //     still paying a re-allocation penalty, faulted = fault-masked
 //     units (zero under derate mode, where degradation shows up as
 //     stretched wall-cycles instead of masked units);
-//   - the systolic grid accounts per-band busy spans via AddBusy /
-//     AddFaulted and closes the run with CloseHorizon;
 //   - sched.Spatial reports fission decisions via NoteDecision, giving
 //     a demand-pressure signal next to the supply-side split.
 //
@@ -82,38 +79,6 @@ func (o *Occupancy) Interval(cyc, busy, reconfig, faulted int64) {
 	o.Faulted += faulted * cyc
 	o.Idle += (o.Units - busy - reconfig - faulted) * cyc
 	o.Horizon += cyc
-}
-
-// AddBusy accounts units busy for cyc wall-cycles without advancing the
-// horizon — the span-feed used by the systolic grid, which knows each
-// band's busy extent only at end of run. Pair with CloseHorizon.
-func (o *Occupancy) AddBusy(units, cyc int64) {
-	if o == nil || cyc <= 0 {
-		return
-	}
-	o.Busy += units * cyc
-}
-
-// AddFaulted accounts units fault-masked for cyc wall-cycles without
-// advancing the horizon. Pair with CloseHorizon.
-func (o *Occupancy) AddFaulted(units, cyc int64) {
-	if o == nil || cyc <= 0 {
-		return
-	}
-	o.Faulted += units * cyc
-}
-
-// CloseHorizon extends the horizon by cyc wall-cycles and re-derives
-// Idle as the conservation remainder, closing out a span-feed
-// (AddBusy/AddFaulted) accounting pass.
-func (o *Occupancy) CloseHorizon(cyc int64) {
-	if o == nil {
-		return
-	}
-	if cyc > 0 {
-		o.Horizon += cyc
-	}
-	o.Idle = o.Units*o.Horizon - o.Busy - o.Faulted - o.Reconfig
 }
 
 // PadTo extends the horizon to h wall-cycles, accounting the extension
@@ -183,8 +148,8 @@ func (o *Occupancy) Pressure() float64 {
 	return float64(o.DemandUnits) / float64(o.SupplyUnits)
 }
 
-// OccupancyAware is implemented by schedulers and engines that can feed
-// an occupancy accountant (sched.Spatial, systolic.Grid).
+// OccupancyAware is implemented by the schedulers that can feed an
+// occupancy accountant (sched.Spatial).
 type OccupancyAware interface {
 	SetOccupancy(*Occupancy)
 }

@@ -149,9 +149,8 @@ type traceCore struct {
 // instants, and counter series land on them in record order.
 //
 // Timestamps are simulated time in whatever unit the caller works in
-// (seconds for the serving simulator, cycles for the systolic grid); the
-// scale passed to NewTraceBuilder converts that unit to the format's
-// microseconds. All methods are nil-safe no-ops on a nil receiver.
+// (seconds for the serving simulator); the scale passed to
+// NewTraceBuilder converts that unit to the format's microseconds. All methods are nil-safe no-ops on a nil receiver.
 //
 // A builder has a single writer: one goroutine at a time records into it
 // and its prefixed views, and JSON and Len read it after recording.
@@ -272,16 +271,8 @@ func (c *traceCore) add(phase byte, track int32, n Name, ts, v float64, args []A
 	c.nargs += len(args)
 }
 
-// Span records a completed slice [start, end] on a track; a reversed
-// slice has zero length.
-func (tb *TraceBuilder) Span(track string, name Name, start, end float64, args ...Arg) {
-	if tb == nil {
-		return
-	}
-	tb.core.add(phaseComplete, tb.trackOf(track), name, start, max(end-start, 0), args)
-}
-
-// SpanOn is Span on a track registered by Track.
+// SpanOn records a completed slice [start, end] on a track registered
+// by Track; a reversed slice has zero length.
 func (tb *TraceBuilder) SpanOn(track int, name Name, start, end float64, args ...Arg) {
 	if tb == nil {
 		return

@@ -10,12 +10,12 @@ import (
 
 func buildTimeline() *TraceBuilder {
 	tb := NewTraceBuilder(1e6) // seconds → µs
-	tb.Span("task 000", Fmt("req %d %s").Int(0).Str("ResNet-50"), 0, 0.010, Str("model", "ResNet-50"), Num("priority", 5))
+	tb.SpanOn(tb.Track(Lit("task 000")), Fmt("req %d %s").Int(0).Str("ResNet-50"), 0, 0.010, Str("model", "ResNet-50"), Num("priority", 5))
 	tb.Counter("chip", "subarrays", 0, 16)
 	tb.Counter("chip", "subarrays", 0.004, 12)
 	tb.Instant("sched", Lit("preempt task 0"), 0.004, Num("task", 0))
 	sub := tb.WithPrefix("prema/")
-	sub.Span("task 001", Lit("req 1"), 0.001, 0.02)
+	sub.SpanOn(sub.Track(Lit("task 001")), Lit("req 1"), 0.001, 0.02)
 	return tb
 }
 
@@ -82,7 +82,7 @@ func TestTraceJSONIsValidAndDeterministic(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tb *TraceBuilder
-	tb.Span("a", Lit("b"), 0, 1)
+	tb.SpanOn(tb.Track(Lit("a")), Lit("b"), 0, 1)
 	tb.Instant("a", Lit("b"), 0)
 	tb.Counter("a", "b", 0, 1)
 	if tb.WithPrefix("x/") != nil {
@@ -99,7 +99,7 @@ func TestTraceNilSafe(t *testing.T) {
 
 func TestSpanClampsReversedInterval(t *testing.T) {
 	tb := NewTraceBuilder(1)
-	tb.Span("t", Lit("s"), 5, 3)
+	tb.SpanOn(tb.Track(Lit("t")), Lit("s"), 5, 3)
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
@@ -226,7 +226,7 @@ func TestTrackNamesMergeAtExport(t *testing.T) {
 	b := tb.Track(Lit("chip0/task 007"))
 	sub.CounterOn(a, "subarrays", 1, 2)
 	tb.CounterOn(b, "subarrays", 2, 3)
-	sub.Span("task 007", Lit("req 7"), 0, 3)
+	sub.SpanOn(sub.Track(Lit("task 007")), Lit("req 7"), 0, 3)
 	raw := string(tb.JSON())
 	if n := strings.Count(raw, `"thread_name"`); n != 2 {
 		t.Fatalf("%d exported tracks, want 2:\n%s", n, raw)

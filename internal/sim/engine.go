@@ -16,12 +16,6 @@ import (
 	"planaria/internal/workload"
 )
 
-// TimeEps re-exports the repository-wide simulated-time comparison
-// tolerance (see internal/simtime, which sits below both this package
-// and internal/fault). Every due-at/later-than check in the engine, the
-// fault injector, and the cluster front end uses the same tolerance.
-const TimeEps = simtime.Eps
-
 // configLoadCycles covers the double-buffered configuration-register swap
 // and the per-subarray instruction-buffer prefetch on a re-allocation
 // (§IV-C); the checkpoint DMA of one tile of intermediate results is
@@ -296,8 +290,8 @@ type run struct {
 
 	// verdictOnly marks a MeetsSLA run with no sink attached: the run
 	// tallies certain misses per domain in doms and stops once doomed
-	// (verdict.go). lateAt is the earliest Deadline+1e-12 of the tasks in
-	// flight not yet counted late, or less.
+	// (verdict.go). lateAt is the earliest Deadline+simtime.Eps of the
+	// tasks in flight not yet counted late, or less.
 	verdictOnly bool
 	doomed      bool
 	lateAt      float64
@@ -488,7 +482,7 @@ func (r *run) admit() {
 		t.phase = obs.PhaseQueueWait
 		t.late = false
 		if r.verdictOnly {
-			r.lateAt = min(r.lateAt, q.Deadline+1e-12)
+			r.lateAt = min(r.lateAt, q.Deadline+simtime.Eps)
 		}
 		r.tasks = append(r.tasks, t)
 	}
@@ -890,7 +884,7 @@ func (r *run) retire() {
 			continue
 		}
 		t.Finish = now
-		if r.verdictOnly && !t.late && now > t.Req.Deadline+1e-12 {
+		if r.verdictOnly && !t.late && simtime.After(now, t.Req.Deadline) {
 			r.miss(t.pos)
 		}
 		if r.observed {

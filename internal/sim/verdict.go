@@ -3,12 +3,13 @@ package sim
 import (
 	"math"
 
+	"planaria/internal/simtime"
 	"planaria/internal/workload"
 )
 
 // A verdict-only run (Node.MeetsSLA) stops at the first certain SLA
 // failure. A request is a certain miss once it is shed or rejected, or
-// once the clock passes its Deadline+1e-12 while it is in flight
+// once the clock passes its Deadline+simtime.Eps while it is in flight
 // (queued, running or backing off), or it retires past that instant: a
 // finish is stamped at the clock, and the clock never goes back. A
 // domain's final within-deadline count is therefore at most its total
@@ -80,7 +81,7 @@ func (r *run) markLate(t *Task, next float64) float64 {
 	if t.late {
 		return next
 	}
-	d := t.Req.Deadline + 1e-12
+	d := t.Req.Deadline + simtime.Eps
 	if r.now > d {
 		t.late = true
 		r.miss(t.pos)

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"planaria/internal/fault"
 	"planaria/internal/obs"
+	"planaria/internal/simtime"
 	"planaria/internal/workload"
 )
 
@@ -147,5 +149,49 @@ func TestMeetsSLACountsEachMissOnce(t *testing.T) {
 	}
 	if !verdicts[0] || !verdicts[1] {
 		t.Fatalf("Run meets the SLA: %v, MeetsSLA: %v; want both true", verdicts[0], verdicts[1])
+	}
+}
+
+// TestMeetsSLADeadlineBoundary pins the on-time boundary of a
+// verdict-only run: request 0 finishes exactly at its deadline plus
+// simtime.Eps, which is on time, so both Run and MeetsSLA must say the
+// two-request stream meets the SLA. Request 1 arrives long after, so the
+// run is still going when request 0 retires and the verdict is checked
+// (with request 0 alone the run would end first). A late test of
+// "at or past" instead of "past" would count request 0 as a miss and,
+// with one miss in two, doom the verdict.
+func TestMeetsSLADeadlineBoundary(t *testing.T) {
+	node, prog := testNode(t, fullPolicy{})
+	iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)
+	reqs := []workload.Request{req(0, 0, 1, 5), req(1, 10*iso, 10*iso, 5)}
+	out, err := node.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := out.Finishes[0]
+	if f <= 0 || f >= reqs[1].Arrival {
+		t.Fatalf("request 0 finishes at %g, want in (0, %g)", f, reqs[1].Arrival)
+	}
+	// The deadline d with d + Eps == f, found by stepping one ulp at a
+	// time from f - Eps.
+	d := f - simtime.Eps
+	for d+simtime.Eps > f {
+		d = math.Nextafter(d, math.Inf(-1))
+	}
+	for d+simtime.Eps < f {
+		d = math.Nextafter(d, math.Inf(1))
+	}
+	if d+simtime.Eps != f {
+		t.Fatalf("no deadline d with d + %g == %g", simtime.Eps, f)
+	}
+	reqs[0].QoS, reqs[0].Deadline = d, d
+	if out, err = node.Run(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if out.Finishes[0] != f || !out.MeetsSLA {
+		t.Fatalf("Run: request 0 finishes at %g (want %g), meets %v; want on time and true", out.Finishes[0], f, out.MeetsSLA)
+	}
+	if meets, err := node.MeetsSLA(reqs); err != nil || !meets {
+		t.Fatalf("MeetsSLA = %v, %v; want true, nil: a finish at deadline + Eps is on time", meets, err)
 	}
 }

@@ -23,11 +23,7 @@
 // can never alias two distinct pending cycles to one bucket.
 package systolic
 
-import (
-	"fmt"
-
-	"planaria/internal/obs"
-)
+import "fmt"
 
 // BoundaryDelay is the extra pipeline latency a token pays when crossing
 // a subarray boundary (the registered ring-bus segment). It must match
@@ -122,17 +118,6 @@ type Grid struct {
 	mask    int64
 	cycle   int64
 	ran     bool
-
-	// Observability (nil = off, the hot loop pays one untaken branch per
-	// cycle): obsTB receives per-band occupancy spans and sampled token
-	// counters on the cycle timeline; obsSample is the sampling period.
-	obsTB     *obs.TraceBuilder
-	obsSample int64
-	// occAcct, when non-nil, receives band-cycle occupancy accounting at
-	// end of Run: each claimed band busy to its cluster's drain cycle,
-	// faulty bands faulted for the whole run, the rest idle
-	// (DESIGN.md §14).
-	occAcct *obs.Occupancy
 }
 
 // New creates a grid of bandsR×bandsC subarrays, each subR×subC PEs.
@@ -222,28 +207,6 @@ func (g *Grid) HealthMask() []bool {
 	}
 	return u
 }
-
-// Observe attaches a timeline builder before Run. Timestamps are cycles
-// (pick the builder's scale accordingly, e.g. 1e6/freqHz for real-time
-// microseconds). Every sampleEvery cycles (min 1, default 64) the engine
-// records the number of token deliveries processed that cycle and the
-// outputs still pending; when Run completes, each cluster contributes one
-// occupancy span per claimed subarray band.
-func (g *Grid) Observe(tb *obs.TraceBuilder, sampleEvery int64) {
-	if sampleEvery <= 0 {
-		sampleEvery = 64
-	}
-	g.obsTB = tb
-	g.obsSample = sampleEvery
-}
-
-// SetOccupancy implements obs.OccupancyAware: at end of Run the grid
-// accounts every band-cycle of the run into the accountant — busy for
-// claimed bands up to their cluster's drain cycle, faulted for masked
-// bands over the whole run, idle for the remainder — so the integer
-// conservation identity busy+idle+faulted+reconfig == bands × cycles
-// holds exactly.
-func (g *Grid) SetOccupancy(a *obs.Occupancy) { g.occAcct = a }
 
 // AddCluster claims the spec's subarray bands for a new logical cluster
 // and schedules an M×K×N GEMM on it: weights (K×N) are preloaded, the
@@ -446,10 +409,6 @@ func (g *Grid) Run(maxCycles int64) (int64, error) {
 			init = g.initial[g.cycle]
 		}
 		inflight := g.buckets[slot]
-		if g.obsTB != nil && g.cycle%g.obsSample == 0 {
-			g.obsTB.Counter("grid", "deliveries", float64(g.cycle), float64(len(init)+len(inflight)))
-			g.obsTB.Counter("grid", "outputs_pending", float64(g.cycle), float64(remaining))
-		}
 		if len(init)+len(inflight) == 0 {
 			continue
 		}
@@ -600,54 +559,6 @@ func (g *Grid) Run(maxCycles int64) (int64, error) {
 	}
 	if remaining > 0 {
 		return g.cycle, fmt.Errorf("systolic: %d outputs still pending after %d cycles", remaining, maxCycles)
-	}
-	if g.obsTB != nil {
-		// Per-band occupancy: one span per claimed subarray band from the
-		// cluster's configuration (cycle 0) to its last drained output —
-		// the spatial co-location picture the fission architecture exists
-		// to create.
-		for id, cl := range g.clusters {
-			// Four operands exceed a name's two: the cluster's label is
-			// formatted once and shared by its band spans.
-			//perf:alloc-ok once per cluster after the cycle loop
-			name := obs.Lit(fmt.Sprintf("cluster %d: %dx%dx%d", id, cl.m, cl.k, cl.n))
-			for r := cl.spec.BandRow; r < cl.spec.BandRow+cl.spec.H; r++ {
-				for c := cl.spec.BandCol; c < cl.spec.BandCol+cl.spec.W; c++ {
-					g.obsTB.SpanOn(g.obsTB.Track(obs.Fmt("band %d,%d").Int(r).Int(c)), name,
-						0, float64(cl.lastOut+1),
-						obs.Num("cluster", float64(id)),
-						obs.Num("drain_cycle", float64(cl.lastOut)))
-				}
-			}
-		}
-	}
-	if g.occAcct != nil {
-		// Band-cycle occupancy accounting: claimed bands are busy from
-		// configuration (cycle 0) through their cluster's drain cycle,
-		// faulty bands are masked for the whole run, and CloseHorizon
-		// derives idle as the exact integer remainder. AddCluster never
-		// places a cluster on a faulty band, so busy and faulted bands
-		// are disjoint.
-		a := g.occAcct
-		a.SetUnits(int64(g.bandsR * g.bandsC))
-		horizon := g.cycle + 1
-		for _, cl := range g.clusters {
-			busy := cl.lastOut + 1
-			if busy > horizon {
-				horizon = busy
-			}
-			a.AddBusy(int64(cl.spec.H*cl.spec.W), busy)
-		}
-		nFaulty := int64(0)
-		for r := 0; r < g.bandsR; r++ {
-			for c := 0; c < g.bandsC; c++ {
-				if g.faulty[r][c] {
-					nFaulty++
-				}
-			}
-		}
-		a.AddFaulted(nFaulty, horizon)
-		a.CloseHorizon(horizon)
 	}
 	return g.cycle, nil
 }

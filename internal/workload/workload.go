@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"planaria/internal/simtime"
 )
 
 // QoSLevel is one of the paper's three QoS tightness levels.
@@ -290,7 +292,7 @@ func MeetsSLA(reqs []Request, finishes []float64) bool {
 		r := &reqs[i]
 		per, c = domSlot(per, r.Domain)
 		c.total++
-		if finishes[i] >= 0 && finishes[i] <= r.Deadline+1e-12 {
+		if finishes[i] >= 0 && simtime.Due(finishes[i], r.Deadline) {
 			c.ok++
 		}
 	}
@@ -330,7 +332,7 @@ func SLAOutcomeFlat(domIDs []int32, domNames []string, deadlines, finishes []flo
 	for i := 0; i < n; i++ {
 		d := domIDs[i]
 		totPer[d]++
-		if finishes[i] >= 0 && finishes[i] <= deadlines[i]+1e-12 {
+		if finishes[i] >= 0 && simtime.Due(finishes[i], deadlines[i]) {
 			okPer[d]++
 			ok++
 		}
@@ -379,7 +381,7 @@ func DeadlineFraction(reqs []Request, finishes []float64) float64 {
 	}
 	ok := 0
 	for i := range reqs {
-		if finishes[i] >= 0 && finishes[i] <= reqs[i].Deadline+1e-12 {
+		if finishes[i] >= 0 && simtime.Due(finishes[i], reqs[i].Deadline) {
 			ok++
 		}
 	}
