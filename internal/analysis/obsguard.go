@@ -13,7 +13,7 @@ import (
 // each with `if r.observed { ... }`) and TraceBuilder.Instant/Counter,
 // the registered-track forms SpanOn/CounterOn and Track (each builds a
 // name value and its args even when the builder is nil).
-// The known nil-safe inline paths — Counter.Inc/Add, Gauge.Set/Max,
+// The known nil-safe inline paths — Counter.Inc/Add, Gauge.Max,
 // Histogram.Observe, Registry.Counter/Gauge/Histogram, Observer
 // accessors, and Trace.reserve — are cheap no-ops when disabled and may
 // appear unguarded. Recording functions (see ComputeHot) are reached

@@ -81,6 +81,9 @@ var goldenCases = []goldenCase{
 	// The CLI trace experiment's defaults at -requests 60: a timeline
 	// large enough to be pinned by digest.
 	{name: "traced-timeline-60.json", gen: tracedGolden(60, 100, 1, func(r *TracedResult) []byte { return r.TraceJSON })},
+	// The same run's per-request summary, stored verbatim: when the
+	// digest above moves, this case names the first request that differs.
+	{name: "traced-requests-60.txt", gen: renderTracedRequests},
 	{name: "serving.txt", long: true, gen: func(s *Suite) ([]byte, error) {
 		rows, err := s.ServingComparison()
 		if err != nil {
@@ -123,6 +126,26 @@ func tracedGolden(requests int, rate float64, seed int64, pick func(*TracedResul
 		}
 		return pick(res), nil
 	}
+}
+
+// renderTracedRequests renders the traced-timeline-60 run one request a
+// line: its position, ID and model, and its Planaria and PREMA finish
+// times in hex (-1 if it never completed).
+func renderTracedRequests(s *Suite) ([]byte, error) {
+	const requests, rate, seed = 60, 100, 1
+	reqs, err := workload.Generate(workload.ScenarioA(), workload.QoSMedium, rate, requests, seed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.TracedRun(workload.ScenarioA(), workload.QoSMedium, rate, requests, seed)
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	for i, r := range reqs {
+		fmt.Fprintf(&b, "req %2d id=%2d %-9s planaria=%x prema=%x\n", i, r.ID, r.Model, res.Planaria.Finishes[i], res.PREMA.Finishes[i])
+	}
+	return []byte(b.String()), nil
 }
 
 // renderComparison renders every serving-comparison figure plus a raw
@@ -245,9 +268,8 @@ func observedNodeRun(sys metrics.System, mode sim.FaultMode) (*sim.Node, []workl
 
 // renderObservedNode runs observedNodeRun's stream through the elastic
 // Planaria scheduler and PREMA with every chip-side sink attached, and
-// renders the outcome tallies, the trace, the metrics snapshot, a digest
-// of the timeline, each request's ledger phases (in hex) and cause, and
-// the occupancy totals.
+// renders the outcome tallies, the trace, a digest of the timeline, each
+// request's ledger phases (in hex) and cause, and the occupancy totals.
 func renderObservedNode(s *Suite) ([]byte, error) {
 	var b strings.Builder
 	for _, c := range []struct {
@@ -266,7 +288,6 @@ func renderObservedNode(s *Suite) ([]byte, error) {
 		fmt.Fprintf(&b, "killed=%d retries=%d shed=%d rejected=%d faults=%d preempt=%d refissions=%d energy=%x\n",
 			out.Killed, out.Retries, out.Shed, out.Rejected, out.FaultEvents, out.Preemptions, out.Refissions, out.EnergyJ)
 		b.WriteString(node.Trace.String())
-		b.WriteString(node.Obs.Registry().Snapshot().Text())
 		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(node.Obs.Tracer().JSON()))
 		for i, r := range reqs {
 			var dur [obs.NumPhases]float64

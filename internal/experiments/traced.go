@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"planaria/internal/metrics"
 	"planaria/internal/obs"
@@ -14,7 +15,9 @@ import (
 // the Chrome trace-event timeline, both covering the Planaria and PREMA
 // systems side by side in one document.
 type TracedResult struct {
-	// MetricsJSON is the registry snapshot, sorted by series id.
+	// MetricsJSON is the registry snapshot, sorted by series id: the
+	// policies' own probes plus each system's Outcome tallies and
+	// per-model latency histograms (countOutcome).
 	MetricsJSON []byte
 	// MetricsText is the aligned-table rendering of the same snapshot.
 	MetricsText string
@@ -26,8 +29,8 @@ type TracedResult struct {
 	Planaria, PREMA *sim.Outcome
 }
 
-// tracedSystem runs one system under the named observer view and returns
-// its outcome.
+// tracedSystem runs one system under the named observer view, writes
+// its outcome into the view's registry and returns it.
 func tracedSystem(sys metrics.System, o *obs.Observer, reqs []workload.Request) (*sim.Outcome, error) {
 	pol := sys.NewPolicy()
 	if ob, ok := pol.(obs.Observable); ok {
@@ -44,7 +47,35 @@ func tracedSystem(sys metrics.System, o *obs.Observer, reqs []workload.Request) 
 	if err != nil {
 		return nil, fmt.Errorf("traced %s run: %w", sys.Name, err)
 	}
+	countOutcome(o.Registry(), reqs, out)
 	return out, nil
+}
+
+// countOutcome writes one run's tallies into reg: one counter per
+// Outcome count, and each completed request's latency into its model's
+// sim_latency_seconds histogram. The latencies are observed in
+// completion order, the order the engine retires requests in, so each
+// histogram's floating-point sum is added up the same way.
+func countOutcome(reg *obs.Registry, reqs []workload.Request, out *sim.Outcome) {
+	var done []int
+	for i, fin := range out.Finishes {
+		if fin >= 0 {
+			done = append(done, i)
+		}
+	}
+	add := func(name string, v int) { reg.Counter(name).Add(float64(v)) }
+	add("sim_requests_total", len(reqs))
+	add("sim_completions_total", len(done))
+	add("sim_preemptions_total", out.Preemptions)
+	add("sim_kills_total", out.Killed)
+	add("sim_retries_total", out.Retries)
+	add("sim_sheds_total", out.Shed)
+	add("sim_rejects_total", out.Rejected)
+	add("fault_events_total", out.FaultEvents)
+	sort.SliceStable(done, func(a, b int) bool { return out.Finishes[done[a]] < out.Finishes[done[b]] })
+	for _, i := range done {
+		reg.Histogram("sim_latency_seconds", obs.DurationBuckets(), obs.L("model", reqs[i].Model)).Observe(out.Latency[i])
+	}
 }
 
 // TracedRun simulates one workload instance on both systems with full

@@ -1,6 +1,8 @@
 // Package obs is the deterministic observability layer threaded through
 // the simulators: a metrics registry of counters, gauges, and histograms
-// keyed by sorted label sets, and a Chrome trace-event (Perfetto-loadable)
+// keyed by sorted label sets, which the scheduling policies probe and
+// experiments.TracedRun fills from each run's outcome (the serving engine
+// writes no metrics), and a Chrome trace-event (Perfetto-loadable)
 // timeline builder. Both are bound by the determinism contract
 // (DESIGN.md §8–§9): every probe advances on *simulated* cycles or
 // seconds supplied by the caller — never the wall clock — and both

@@ -162,7 +162,7 @@ type Counter struct {
 	core *regCore
 }
 
-// A Gauge is a set-to-current-value series handle.
+// A Gauge is a high-water-mark series handle: Max only raises it.
 type Gauge struct {
 	m    *metric
 	core *regCore
@@ -229,18 +229,6 @@ func (c *Counter) Inc() {
 		return
 	}
 	c.Add(1)
-}
-
-// Set replaces the gauge's value.
-//
-//perf:hot per-event probe: nil-safe, no formatting, no allocation
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.core.mu.Lock()
-	g.m.value = v
-	g.core.mu.Unlock()
 }
 
 // Max raises the gauge to v if v exceeds the current value (a running

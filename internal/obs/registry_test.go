@@ -15,7 +15,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	c.Add(2)
 	c.Add(-5) // ignored: counters are monotone
 	g := r.Gauge("queue_depth")
-	g.Set(3)
+	g.Max(3)
 	g.Max(7)
 	g.Max(2) // below the high-water mark
 	h := r.Histogram("latency_seconds", []float64{0.01, 0.1, 1})
@@ -87,7 +87,6 @@ func TestWithLabelsAndKindConflict(t *testing.T) {
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
-	r.Gauge("b").Set(1)
 	r.Gauge("b").Max(2)
 	r.Histogram("c", DurationBuckets()).Observe(1)
 	if r.With(L("k", "v")) != nil {
@@ -109,7 +108,7 @@ func TestSnapshotEncodingsDeterministic(t *testing.T) {
 		r.Counter("z_total", L("m", "b")).Add(2)
 		r.Counter("a_total", L("m", "a")).Add(1)
 		r.Histogram("h", []float64{1, 2}).Observe(1.5)
-		r.Gauge("g").Set(0.25)
+		r.Gauge("g").Max(0.25)
 		return r
 	}
 	j1, err := build().Snapshot().JSON()
@@ -213,7 +212,7 @@ func TestRegistryAppendOnlyContract(t *testing.T) {
 
 	// Registering more series only grows the set; everything previously
 	// snapshotted is still there with its value intact.
-	r.Gauge("depth").Set(3)
+	r.Gauge("depth").Max(3)
 	r.Histogram("lat", []float64{1}).Observe(0.5)
 	snap = r.Snapshot()
 	if len(snap.Series) != 3 {

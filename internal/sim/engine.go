@@ -43,7 +43,8 @@ type Outcome struct {
 	BusyTime float64
 	// Fairness is the PREMA metric min_{i,j} PP_i/PP_j.
 	Fairness float64
-	// Preemptions counts allocation changes of running tasks.
+	// Preemptions counts allocation changes of running tasks, whether
+	// the task later completes, is shed or is killed.
 	Preemptions int
 	// Refissions counts elastic re-fission resizes: allocation changes
 	// applied at a Refissioner-scheduled wakeup rather than an arrival,
@@ -82,9 +83,11 @@ type Node struct {
 	// The optional sinks, each folded from the run's event stream
 	// (observe.go); with all four nil, observability costs one untaken
 	// branch per event. Trace records the serving timeline (arrivals,
-	// allocation changes, preemptions, queue samples, completions). Obs
-	// receives metrics and timeline tracks on simulated time (request
-	// lifecycle spans, per-task allocation counters, queue occupancy).
+	// allocation changes, preemptions, queue samples, completions). Obs's
+	// timeline builder receives tracks on simulated time (request
+	// lifecycle spans, per-task allocation counters, queue occupancy);
+	// the engine writes nothing to its registry, since every run tally is
+	// an Outcome field.
 	// Attrib receives per-request phase attribution (DESIGN.md §14):
 	// queue-wait, compute, preempt-stall, retry-backoff and fault-stall
 	// boundaries plus the terminal cause, addressed by input-slice
@@ -385,7 +388,7 @@ func (r *run) start(n *Node, total int) {
 		r.refis = rf
 	}
 	r.lastDepth, r.lastRunning = -1, -1
-	r.observed = n.Trace != nil || n.Obs != nil || n.Attrib != nil || n.Occ != nil
+	r.observed = n.Trace != nil || n.Obs.Tracer() != nil || n.Attrib != nil || n.Occ != nil
 	if r.observed {
 		r.attach(n)
 	}
@@ -716,12 +719,15 @@ func (r *run) schedule(capNow int) (int, error) {
 		if na != t.Alloc {
 			kind := EvAlloc
 			wasRunning := t.Alloc > 0 && !t.Done()
+			if wasRunning {
+				r.out.Preemptions++
+			}
 			if atRef && !t.Done() {
 				// An elastic resize at a tile boundary: grow a starved task
 				// into freed subarrays or shrink an SLA-beating donor.
 				// Emitted as EvRefission instead of EvPreempt; a running
-				// task is still preempted (applyRealloc charges it and
-				// bumps Preemptions).
+				// task is still preempted (applyRealloc charges it, and it
+				// counts in Preemptions).
 				kind = EvRefission
 				r.out.Refissions++
 				if !wasRunning && na > 0 {
@@ -894,7 +900,6 @@ func (r *run) retire() {
 		r.out.Finishes[t.pos] = now
 		r.out.Latency[t.pos] = lat
 		r.out.EnergyJ += t.EnergyJ
-		r.out.Preemptions += t.Preemptions
 		// PREMA: PP = (T_iso / T_multi) / (priority / Σ priority).
 		if lat > 0 {
 			pp := (t.bind.iso / lat) / (float64(t.Req.Priority) / r.prioSum)
@@ -923,9 +928,6 @@ func (r *run) finish() *Outcome {
 		out.Fairness = r.ppMin / r.ppMax
 	}
 	out.MeetsSLA = workload.MeetsSLA(r.reqs, out.Finishes)
-	if r.observed {
-		r.countOutcome(out)
-	}
 	return out
 }
 

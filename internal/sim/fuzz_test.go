@@ -144,9 +144,9 @@ func checkFairness(t *testing.T, node *Node, reqs []workload.Request, out *Outco
 }
 
 // checkObserved asserts the views a fully observed run folded from its
-// event stream: the registry counters that equal an Outcome tally, a
-// closed ledger record per request whose cause is done exactly for the
-// completed ones, the occupancy partition and a valid trace.
+// event stream: a closed ledger record per request whose cause is done
+// exactly for the completed ones, trace event counts equal to the
+// Outcome's tallies, the occupancy partition and a valid trace.
 func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outcome) {
 	t.Helper()
 	completed := 0
@@ -161,25 +161,29 @@ func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outco
 			t.Fatalf("request %d: cause %v with finish %v", i, node.Attrib.Cause(i), fin)
 		}
 	}
-	want := map[string]int{
-		"sim_requests_total":    len(reqs),
-		"sim_completions_total": completed,
-		"sim_kills_total":       out.Killed,
-		"sim_retries_total":     out.Retries,
-		"sim_sheds_total":       out.Shed,
-		"sim_rejects_total":     out.Rejected,
-		"fault_events_total":    out.FaultEvents,
+	var n [EvRefission + 1]int
+	preempted := 0
+	for _, e := range node.Trace.Events {
+		n[e.Kind]++
+		// Resizing a running task is also a preemption.
+		if e.Kind == EvPreempt || e.Kind == EvRefission && e.Depth > 0 {
+			preempted++
+		}
 	}
-	if rf, ok := node.Policy.(Refissioner); ok && rf.RefissionActive() {
-		want["sim_refissions_total"] = out.Refissions
-	}
-	got := map[string]float64{}
-	for _, s := range node.Obs.Registry().Snapshot().Series {
-		got[s.Name] = s.Value
-	}
-	for name, v := range want {
-		if g, ok := got[name]; !ok || g != float64(v) {
-			t.Fatalf("%s = %v (registered %v), Outcome tally %d", name, g, ok, v)
+	for _, c := range []struct {
+		what, field string
+		trace, want int
+	}{
+		{"finishes", "completed Finishes", n[EvFinish], completed},
+		{"kills", "Outcome.Killed", n[EvKill], out.Killed},
+		{"sheds", "Outcome.Shed", n[EvShed], out.Shed},
+		{"rejects", "Outcome.Rejected", n[EvReject], out.Rejected},
+		{"faults", "Outcome.FaultEvents", n[EvFault], out.FaultEvents},
+		{"refissions", "Outcome.Refissions", n[EvRefission], out.Refissions},
+		{"preemptions", "Outcome.Preemptions", preempted, out.Preemptions},
+	} {
+		if c.trace != c.want {
+			t.Fatalf("trace %s %d, %s %d", c.what, c.trace, c.field, c.want)
 		}
 	}
 	o := node.Occ
@@ -238,6 +242,9 @@ func FuzzNodeRun(f *testing.F) {
 	// Every pod link fails for good while tasks run and more arrive: the
 	// dead-chip drain sheds them all.
 	f.Add(byte(1), byte(0xfb), []byte{0, 0, 0, 16, 0, 1, 16, 32, 64, 16, 2, 32, 48, 16, 0, 3})
+	// The second arrival preempts the running task, then every pod link
+	// fails for good and both are shed: the preemption still counts.
+	f.Add(byte(2), byte(0xfb), []byte("00 00100001"))
 	f.Fuzz(func(t *testing.T, setup, extra byte, data []byte) {
 		node, prog := testNode(t, nil)
 		iso := node.Cfg.Seconds(prog.Table(16).TotalCycles)

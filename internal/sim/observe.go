@@ -19,37 +19,16 @@ type views struct {
 	led     *obs.Ledger
 	occ     *obs.Occupancy
 	occFrom float64 // where the open occupancy interval began
-	reg     *obs.Registry
-	// The series that fold from the stream; countOutcome writes the rest.
-	preempt, sched, grow, shrink *obs.Counter
-	alive, depth                 *obs.Gauge
-	latHists                     map[string]*obs.Histogram // per model, interned on first completion
 }
 
-// attach binds node n's sinks to the run: the registry handles, the
-// ledger sized to the input so records are addressed by the positions
-// the Outcome uses, the occupancy unit count, the trace's reserve and
-// the timeline's per-request track handles.
+// attach binds node n's sinks to the run: the ledger sized to the input
+// so records are addressed by the positions the Outcome uses, the
+// occupancy unit count, the trace's reserve and the timeline's
+// per-request track handles.
 //
 //perf:cold per-run setup: runs once before the event loop
 func (r *run) attach(n *Node) {
-	reg := n.Obs.Registry()
-	r.views = views{
-		trace: n.Trace, tracer: n.Obs.Tracer(), led: n.Attrib, occ: n.Occ, occFrom: r.now,
-		reg:     reg,
-		preempt: reg.Counter("sim_preemptions_total"),
-		sched:   reg.Counter("sim_sched_events_total"),
-		alive:   reg.Gauge("fault_alive_subarrays"),
-		depth:   reg.Gauge("sim_queue_depth_max"),
-	}
-	if reg != nil {
-		r.latHists = make(map[string]*obs.Histogram, len(n.Programs))
-	}
-	// Only an active Refissioner exports the refission series.
-	if r.refis != nil {
-		r.grow = reg.Counter("sim_refission_grows_total")
-		r.shrink = reg.Counter("sim_refission_shrinks_total")
-	}
+	r.views = views{trace: n.Trace, tracer: n.Obs.Tracer(), led: n.Attrib, occ: n.Occ, occFrom: r.now}
 	r.led.Reset(len(r.reqs))
 	r.occ.SetUnits(int64(r.total))
 	// A typical request contributes arrival + alloc + finish plus a queue
@@ -66,9 +45,6 @@ func (r *run) attach(n *Node) {
 func (r *run) emit(e Event) {
 	if r.trace != nil {
 		r.record(&e)
-	}
-	if r.reg != nil {
-		r.count(&e)
 	}
 	if r.tracer != nil {
 		r.timeline(&e)
@@ -95,53 +71,6 @@ func (r *run) record(e *Event) {
 		r.trace.record(alloc)
 	}
 	r.trace.record(*e)
-}
-
-// count is the metrics fold.
-func (r *run) count(e *Event) {
-	switch e.Kind {
-	case EvPreempt:
-		r.preempt.Inc()
-	case EvRefission:
-		// Resizing a running task is also a preemption.
-		if e.Depth > 0 {
-			r.preempt.Inc()
-		}
-		if e.Alloc > e.Depth {
-			r.grow.Inc()
-		} else {
-			r.shrink.Inc()
-		}
-	case EvQueue:
-		r.depth.Max(float64(e.Depth))
-	case evAlive:
-		r.alive.Set(float64(e.Alloc))
-	case evSched:
-		r.sched.Inc()
-	case EvFinish:
-		h := r.latHists[e.Model]
-		if h == nil {
-			h = r.reg.Histogram("sim_latency_seconds", obs.DurationBuckets(), obs.L("model", e.Model))
-			r.latHists[e.Model] = h
-		}
-		h.Observe(e.Time - r.reqs[e.Pos].Arrival)
-	}
-}
-
-// countOutcome writes the registry counters that equal an Outcome tally,
-// once, when the run finishes.
-func (r *run) countOutcome(out *Outcome) {
-	add := func(name string, v int) { r.reg.Counter(name).Add(float64(v)) }
-	add("sim_requests_total", len(r.reqs))
-	add("sim_completions_total", r.completed)
-	add("sim_kills_total", out.Killed)
-	add("sim_retries_total", out.Retries)
-	add("sim_sheds_total", out.Shed)
-	add("sim_rejects_total", out.Rejected)
-	add("fault_events_total", out.FaultEvents)
-	if r.refis != nil {
-		add("sim_refissions_total", out.Refissions)
-	}
 }
 
 // timeline is the Perfetto fold: fault and scheduling instants, one
