@@ -235,7 +235,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 			}
 			return fn
 		}
-		// Package-qualified: obs.New, fault.NewInjector, ...
+		// Package-qualified: obs.NewTraceBuilder, fault.NewInjector, ...
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			return fn
 		}

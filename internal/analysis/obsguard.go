@@ -13,10 +13,10 @@ import (
 // each with `if r.observed { ... }`) and TraceBuilder.Instant/Counter,
 // the registered-track forms SpanOn/CounterOn and Track (each builds a
 // name value and its args even when the builder is nil).
-// The known nil-safe inline paths — Counter.Inc/Add, Gauge.Max,
-// Histogram.Observe, Registry.Counter/Gauge/Histogram, Observer
-// accessors, and Trace.reserve — are cheap no-ops when disabled and may
-// appear unguarded. Recording functions (see ComputeHot) are reached
+// The known nil-safe inline paths — Occupancy.NoteDecision/Interval,
+// the Ledger's Mark/Close/Reopen, TraceBuilder.WithPrefix, and
+// Trace.reserve — are cheap no-ops when disabled and may appear
+// unguarded. Recording functions (see ComputeHot) are reached
 // only through a guard and are not checked. //perf:obsguard-ok <reason>
 // exempts a call.
 var ObsGuard = &Analyzer{

@@ -138,9 +138,9 @@ func (s *spanSet) contains(pos token.Pos) bool {
 
 // obsValueType reports whether t is (a pointer to) a named type belonging
 // to the observability layer: any type from a package named "obs"
-// (Registry, TraceBuilder, Counter, ...), or an engine-local trace sink
-// named Trace or Observer (sim.Trace carries the event log; the fixtures
-// mirror it with a local Trace).
+// (TraceBuilder, Ledger, Occupancy, ...), or an engine-local sink named
+// Trace (sim.Trace carries the event log; the fixtures mirror it with a
+// local Trace).
 func obsValueType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -156,13 +156,13 @@ func obsValueType(t types.Type) bool {
 	if pkg := obj.Pkg(); pkg != nil && pkg.Name() == "obs" {
 		return true
 	}
-	return obj.Name() == "Trace" || obj.Name() == "Observer"
+	return obj.Name() == "Trace"
 }
 
 // obsBoolGuards collects, in source order, the bool variables and fields
 // of a package whose assigned value is an observability enablement check:
 // `tracing := n.Trace != nil`, or a flag set once per run, such as
-// `r.observed = n.Trace != nil || n.Obs != nil`, that then guards the
+// `r.observed = n.Trace != nil || n.Timeline != nil`, that then guards the
 // probes in every method of the run.
 func obsBoolGuards(info *types.Info, files []*ast.File) map[types.Object]bool {
 	guards := map[types.Object]bool{}

@@ -86,8 +86,8 @@ type Config struct {
 	// Shed is each chip's local admission-control policy.
 	Shed sim.ShedPolicy
 
-	// Observe attaches a fresh obs.Observer to every chip node (exposed
-	// on ChipResult.Obs for artifact comparison).
+	// Observe attaches a fresh timeline to every chip node and its
+	// policy (exposed on ChipResult.Timeline for artifact comparison).
 	Observe bool
 	// ChipTraces attaches a sim.Trace to every chip node (exposed on
 	// ChipResult.Trace).
@@ -137,8 +137,10 @@ type ChipResult struct {
 	Outcome *sim.Outcome
 	// Trace is the chip's serving timeline (nil unless Config.ChipTraces).
 	Trace *sim.Trace
-	// Obs is the chip's private observer (nil unless Config.Observe).
-	Obs *obs.Observer
+	// Timeline is the chip's private timeline, carrying the engine's
+	// tracks and the policy's decision instants (nil unless
+	// Config.Observe).
+	Timeline *obs.TraceBuilder
 	// Attrib is the chip's phase ledger, indexed like Requests (nil
 	// unless Config.Attrib).
 	Attrib *obs.Ledger
@@ -895,7 +897,7 @@ func (r *run) runChip(i int) {
 		cr.Trace = &sim.Trace{}
 	}
 	if cfg.Observe {
-		cr.Obs = obs.New()
+		cr.Timeline = obs.NewTraceBuilder(1e6)
 	}
 	if cfg.Attrib {
 		cr.Attrib = obs.NewLedger(len(cr.Requests))
@@ -905,8 +907,8 @@ func (r *run) runChip(i int) {
 		return
 	}
 	pol := cfg.System.NewPolicy()
-	if ob, ok := pol.(obs.Observable); ok && cr.Obs != nil {
-		ob.SetObserver(cr.Obs)
+	if ob, ok := pol.(obs.Observable); ok && cr.Timeline != nil {
+		ob.SetObserver(cr.Timeline)
 	}
 	if oa, ok := pol.(obs.OccupancyAware); ok && cr.Occ != nil {
 		oa.SetOccupancy(cr.Occ)
@@ -918,7 +920,7 @@ func (r *run) runChip(i int) {
 		Programs:  cfg.System.Programs,
 		Params:    cfg.System.Params,
 		Trace:     cr.Trace,
-		Obs:       cr.Obs,
+		Timeline:  cr.Timeline,
 		Attrib:    cr.Attrib,
 		Occ:       cr.Occ,
 		FaultMode: cfg.FaultMode,

@@ -53,25 +53,25 @@ func renderNodeOutcome(out *sim.Outcome) string {
 }
 
 // directArtifacts runs the request stream straight through sim.Node.Run
-// with a fresh observer and trace, mirroring what a 1-chip cluster sets
+// with a fresh timeline and trace, mirroring what a 1-chip cluster sets
 // up, and renders every artifact.
 func directArtifacts(t *testing.T, sys metrics.System, shed sim.ShedPolicy, reqs []workload.Request) string {
 	t.Helper()
-	o := obs.New()
+	tl := obs.NewTraceBuilder(1e6)
 	pol := sys.NewPolicy()
 	if ob, ok := pol.(obs.Observable); ok {
-		ob.SetObserver(o)
+		ob.SetObserver(tl)
 	}
 	tr := &sim.Trace{}
 	node := &sim.Node{
 		Cfg: sys.Cfg, Policy: pol, Programs: sys.Programs, Params: sys.Params,
-		Trace: tr, Obs: o, Shed: shed,
+		Trace: tr, Timeline: tl, Shed: shed,
 	}
 	out, err := node.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderArtifacts(t, out, tr, o)
+	return renderArtifacts(out, tr, tl)
 }
 
 // clusterArtifacts runs the same stream through a 1-chip cluster with
@@ -86,26 +86,21 @@ func clusterArtifacts(t *testing.T, sys metrics.System, policy string, shed sim.
 		t.Fatal(err)
 	}
 	chip := out.PerChip[0]
-	return renderArtifacts(t, chip.Outcome, chip.Trace, chip.Obs), out
+	return renderArtifacts(chip.Outcome, chip.Trace, chip.Timeline), out
 }
 
 // renderArtifacts concatenates the three chip artifacts: hex outcome,
-// trace timeline, metrics snapshot, and Perfetto timeline JSON.
-func renderArtifacts(t *testing.T, out *sim.Outcome, tr *sim.Trace, o *obs.Observer) string {
-	t.Helper()
-	snap, err := o.Registry().Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+// trace timeline, and Perfetto timeline JSON (which carries every
+// sched/prema decision instant).
+func renderArtifacts(out *sim.Outcome, tr *sim.Trace, tl *obs.TraceBuilder) string {
 	return renderNodeOutcome(out) +
 		"--- trace\n" + tr.String() +
-		"--- metrics\n" + string(snap) +
-		"\n--- timeline\n" + string(o.Tracer().JSON())
+		"--- timeline\n" + string(tl.JSON())
 }
 
 // TestSingleChipConformance pins the pass-through identity: a 1-chip
 // cluster with batching and admission disabled produces byte-identical
-// outcome, trace, and metrics artifacts to calling sim.Node.Run
+// outcome, trace, and timeline artifacts to calling sim.Node.Run
 // directly — under both engines and with shedding on and off. Each side
 // runs twice, so the test also pins run-to-run determinism.
 func TestSingleChipConformance(t *testing.T) {

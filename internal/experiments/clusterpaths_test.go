@@ -47,7 +47,7 @@ func deadChipSchedule(units, pods int, at float64) *fault.Schedule {
 //     another model's max-batch dispatch, so dispatch instants move
 //     backwards in emit order.
 //
-// Every case runs with an observer and attribution.
+// Every case runs with a timeline and attribution on every chip.
 func clusterPathCases(s *Suite) ([]clusterPathCase, error) {
 	sys := s.Planaria
 	units := sys.Cfg.NumSubarrays()
@@ -177,7 +177,7 @@ var chipTimelineTemplates = map[string][]string{
 // renderChipTimelines pins each chip's own timeline. Two chips serve an
 // overloaded Workload-A/QoS-H stream whose request IDs cross 1000, under
 // Spatial and under the elastic policy, with transient subarray faults
-// on chip 0, batching, and an observer on every chip. It renders a
+// on chip 0, batching, and a timeline on every chip. It renders a
 // digest and the length of every chip's timeline, and fails if a chip
 // timeline misses a name template of chipTimelineTemplates.
 func renderChipTimelines(s *Suite) ([]byte, error) {
@@ -212,7 +212,7 @@ func renderChipTimelines(s *Suite) ([]byte, error) {
 		fmt.Fprintf(&b, "== %s completed=%d killed=%d shed=%d\n", sys.Name, out.Completed, out.Killed, out.ShedChips)
 		all := ""
 		for i, cr := range out.PerChip {
-			tl := cr.Obs.Tracer()
+			tl := cr.Timeline
 			js := tl.JSON()
 			all += string(js)
 			fmt.Fprintf(&b, "chip %d events=%d sha256=%x\n", i, tl.Len(), sha256.Sum256(js))

@@ -78,6 +78,9 @@ var goldenCases = []goldenCase{
 	{name: "traced-metrics.json", gen: tracedGolden(2, 200, 11, func(r *TracedResult) []byte { return r.MetricsJSON })},
 	{name: "traced-metrics.txt", gen: tracedGolden(2, 200, 11, func(r *TracedResult) []byte { return []byte(r.MetricsText) })},
 	{name: "traced-timeline.json", gen: tracedGolden(2, 200, 11, func(r *TracedResult) []byte { return r.TraceJSON })},
+	// A longer run whose snapshot carries unfit fission decisions and
+	// PREMA dispatch switches in the hundreds.
+	{name: "traced-metrics-60.json", gen: tracedGolden(60, 200, 1, func(r *TracedResult) []byte { return r.MetricsJSON })},
 	// The CLI trace experiment's defaults at -requests 60: a timeline
 	// large enough to be pinned by digest.
 	{name: "traced-timeline-60.json", gen: tracedGolden(60, 100, 1, func(r *TracedResult) []byte { return r.TraceJSON })},
@@ -260,7 +263,7 @@ func observedNodeRun(sys metrics.System, mode sim.FaultMode) (*sim.Node, []workl
 	rand.New(rand.NewSource(8)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 	node := &sim.Node{
 		Cfg: sys.Cfg, Policy: sys.NewPolicy(), Programs: sys.Programs, Params: sys.Params,
-		Trace: &sim.Trace{}, Obs: obs.New(), Attrib: obs.NewLedger(0), Occ: obs.NewOccupancy(0),
+		Trace: &sim.Trace{}, Timeline: obs.NewTraceBuilder(1e6), Attrib: obs.NewLedger(0), Occ: obs.NewOccupancy(0),
 		Faults: in, FaultMode: mode, Shed: sim.ShedDoomed, MaxAttempts: 1,
 	}
 	return node, reqs, nil
@@ -288,7 +291,7 @@ func renderObservedNode(s *Suite) ([]byte, error) {
 		fmt.Fprintf(&b, "killed=%d retries=%d shed=%d rejected=%d faults=%d preempt=%d refissions=%d energy=%x\n",
 			out.Killed, out.Retries, out.Shed, out.Rejected, out.FaultEvents, out.Preemptions, out.Refissions, out.EnergyJ)
 		b.WriteString(node.Trace.String())
-		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(node.Obs.Tracer().JSON()))
+		fmt.Fprintf(&b, "timeline sha256=%x\n", sha256.Sum256(node.Timeline.JSON()))
 		for i, r := range reqs {
 			var dur [obs.NumPhases]float64
 			node.Attrib.Durations(i, &dur)

@@ -3,7 +3,7 @@ package obs
 import "strings"
 
 // Table renders aligned monospace tables with a strings.Builder — the
-// shared renderer behind the registry snapshot text encoding and the
+// shared renderer behind the metrics snapshot text encoding and the
 // metrics package's latency tables. The first column is left-aligned,
 // all others right-aligned (override with AlignLeft).
 type Table struct {

@@ -10,15 +10,23 @@ import (
 
 // refToken is Token's token accounting as it stood before the stamped
 // single map: three maps and a sorted stale-ID sweep per round. Its
-// decide is the old one verbatim, minus the observability probes.
-// FuzzTokenDecide checks Token against it. The candidate threshold is
-// written out as the evaluation's 90% rather than read from the policy,
-// so the reference checks the policy's constant instead of copying it.
+// decide is the old one verbatim, with its metric probes written as the
+// counts they kept: one decision per round, the highest max token, and a
+// dispatch switch whenever a round dispatches another task than the
+// round before. FuzzTokenDecide checks Token against it. The candidate
+// threshold is written out as the evaluation's 90% rather than read from
+// the policy, so the reference checks the policy's constant instead of
+// copying it.
 type refToken struct {
 	tokens map[int]float64
 	last   map[int]float64
 	live   map[int]bool
 	stale  []int
+
+	decisions, switches int64
+	maxToken            float64
+	dispatched          int
+	haveDisp            bool
 }
 
 func (p *refToken) decide(now float64, tasks []*sim.Task, total int) int {
@@ -73,13 +81,20 @@ func (p *refToken) decide(now float64, tasks []*sim.Task, total int) int {
 	if best < 0 {
 		best = 0
 	}
+	p.decisions++
+	p.maxToken = max(p.maxToken, maxTok)
+	if p.haveDisp && p.dispatched != tasks[best].ID {
+		p.switches++
+	}
+	p.dispatched, p.haveDisp = tasks[best].ID, true
 	p.tokens[tasks[best].ID] = float64(tasks[best].Req.Priority)
 	return best
 }
 
 // FuzzTokenDecide replays fuzz-chosen round sequences through Token and
-// the reference and requires the same dispatched position and the same
-// token for every task, round after round. Each round takes 1+2k bytes:
+// the reference and requires the same dispatched position, the same
+// token for every task and the same decision, switch and max-token
+// counts, round after round. Each round takes 1+2k bytes:
 // a time step and slot count, then per slot an (ID, state) pair. Slots
 // draw from six IDs in any order, so tasks arrive, depart and rejoin; a
 // repeated ID shares one record, which the engine never passes but the
@@ -90,6 +105,9 @@ func FuzzTokenDecide(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 2, 3, 0, 0, 0x08, 1, 0x1d, 5, 0, 1, 0, 5, 0x22})
 	f.Add([]byte{1, 4, 3, 2, 3, 2, 4, 0, 4, 3, 9, 1, 0x40, 3, 1, 2, 0x80, 1, 0, 3, 3})
 	f.Add([]byte{2, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 0, 0, 0, 0, 5, 0, 2, 1})
+	// The second round dispatches a candidate below the maximum token, so
+	// MaxToken must follow the maximum, not the dispatched task's token.
+	f.Add([]byte{0x30, 0x31, 0x32, 0x37, 0x30, 0x32, 0x31, 0x30})
 	cfg := arch.Monolithic()
 	prog := toyProg(f, cfg)
 	layers := len(prog.Table(1).Layers)
@@ -140,6 +158,10 @@ func FuzzTokenDecide(f *testing.F) {
 				if g, w := got.state[task.ID].token, want.tokens[task.ID]; g != w {
 					t.Fatalf("round %d: task %d token %v, reference %v", round, task.ID, g, w)
 				}
+			}
+			if got.Decisions != want.decisions || got.Switches != want.switches || got.MaxToken != want.maxToken {
+				t.Fatalf("round %d: decisions/switches/max token %d/%d/%v, reference %d/%d/%v",
+					round, got.Decisions, got.Switches, got.MaxToken, want.decisions, want.switches, want.maxToken)
 			}
 		}
 	})

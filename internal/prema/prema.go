@@ -36,10 +36,15 @@ type Token struct {
 	// token in the current round.
 	tok []float64
 
-	// Observability probes (nil-safe no-ops when unset).
-	cDecisions *obs.Counter
-	cSwitches  *obs.Counter
-	gMaxToken  *obs.Gauge
+	// Decisions counts token-policy rounds, Switches the rounds that
+	// dispatched a different task than the round before (temporal
+	// context switches), and MaxToken is the highest token any round
+	// saw. They are read after the run.
+	Decisions, Switches int64
+	MaxToken            float64
+
+	// tracer receives an instant per dispatch switch (nil-safe no-op
+	// when unset).
 	tracer     *obs.TraceBuilder
 	dispatched int
 	haveDisp   bool
@@ -73,17 +78,9 @@ func NewToken(arch.Config) *Token {
 // Name implements sim.Policy.
 func (p *Token) Name() string { return "PREMA" }
 
-// SetObserver implements obs.Observable: decision counters, the
-// dispatch-switch count (temporal context switches), and the token
-// high-water mark land in the registry; dispatch switches also appear as
+// SetObserver implements obs.Observable: dispatch switches appear as
 // instants on the "prema" timeline track.
-func (p *Token) SetObserver(o *obs.Observer) {
-	reg := o.Registry()
-	p.cDecisions = reg.Counter("prema_decisions_total")
-	p.cSwitches = reg.Counter("prema_dispatch_switches_total")
-	p.gMaxToken = reg.Gauge("prema_max_token")
-	p.tracer = o.Tracer()
-}
+func (p *Token) SetObserver(tb *obs.TraceBuilder) { p.tracer = tb }
 
 // Quantum implements sim.Policy.
 func (p *Token) Quantum() float64 { return schedulingQuantum }
@@ -170,11 +167,13 @@ func (p *Token) decide(now float64, tasks []*sim.Task, total int) int {
 		best = 0
 	}
 	bt := tasks[best]
-	p.cDecisions.Inc()
-	p.gMaxToken.Max(maxTok)
+	p.Decisions++
+	if maxTok > p.MaxToken {
+		p.MaxToken = maxTok
+	}
 	if !p.haveDisp || p.dispatched != bt.ID {
 		if p.haveDisp {
-			p.cSwitches.Inc()
+			p.Switches++
 			if p.tracer != nil {
 				p.tracer.Instant("prema", obs.Fmt("dispatch task %d").Int(bt.ID), now,
 					obs.Str("model", bt.Req.Model),

@@ -52,12 +52,12 @@ func (e *Elastic) Name() string { return "Planaria-Elastic" }
 func (e *Elastic) Quantum() float64 { return 0 }
 
 // SetObserver implements obs.Observable by delegating to the wrapped
-// spatial scheduler — elastic decisions count as fission decisions on
-// the same counters, keeping the fit/unfit split comparable across the
-// ablation.
-func (e *Elastic) SetObserver(o *obs.Observer) { e.sp.SetObserver(o) }
+// spatial scheduler: elastic decisions land on the same "sched" track.
+func (e *Elastic) SetObserver(tb *obs.TraceBuilder) { e.sp.SetObserver(tb) }
 
-// SetOccupancy implements obs.OccupancyAware by delegation.
+// SetOccupancy implements obs.OccupancyAware by delegation: elastic
+// decisions count as fission decisions in the same accountant, keeping
+// the fit/unfit split comparable across the ablation.
 func (e *Elastic) SetOccupancy(o *obs.Occupancy) { e.sp.SetOccupancy(o) }
 
 // SetHealth implements sim.HealthAware by delegation: the planner's
@@ -166,13 +166,7 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		demand += mn
 	}
 	e.cands = cands
-	s.cDecisions.Inc()
 	fit := demand <= total
-	if fit {
-		s.cFit.Inc()
-	} else {
-		s.cUnfit.Inc()
-	}
 	s.occ.NoteDecision(fit, int64(demand), int64(total))
 	if s.tracer != nil {
 		verdict := "fit"

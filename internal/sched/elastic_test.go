@@ -213,26 +213,20 @@ func TestElasticRunRefissionsAndIdentity(t *testing.T) {
 	}
 }
 
-// TestElasticObserverDelegation: metric registration lands on the same
-// sched counters Spatial uses, so the ablation compares like for like;
-// refission activity itself is counted by the engine.
+// TestElasticObserverDelegation: an elastic decision lands as one fission
+// decision in the occupancy of the Spatial it wraps, so the ablation
+// compares like for like; refission activity itself is counted by the
+// engine.
 func TestElasticObserverDelegation(t *testing.T) {
 	cfg := arch.Planaria()
 	prog := toyProg(t, cfg)
-	o := obs.New()
+	occ := &obs.Occupancy{}
 	el := NewElastic(cfg)
-	el.SetObserver(o)
+	el.SetOccupancy(occ)
 	task := mkTask(t, 0, prog, 1, 5)
 	dst := make([]int, 1)
 	el.AllocateInto(0, []*sim.Task{task}, 16, dst)
-	snap := o.Registry().Snapshot()
-	found := false
-	for _, m := range snap.Series {
-		if m.Name == "sched_decisions_total" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("sched_decisions_total not registered through delegation")
+	if occ.Decisions != 1 || occ.FitDecisions != 1 {
+		t.Fatalf("decisions %d, fit %d through delegation; want 1, 1", occ.Decisions, occ.FitDecisions)
 	}
 }

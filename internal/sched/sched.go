@@ -29,14 +29,13 @@ type Spatial struct {
 	// on contiguous alive subarrays (see DESIGN.md §10).
 	health arch.HealthMask
 
-	// Observability probes (nil-safe no-ops when unset).
-	cDecisions *obs.Counter
-	cFit       *obs.Counter
-	cUnfit     *obs.Counter
-	tracer     *obs.TraceBuilder
-	// occ receives per-decision demand/supply accounting for the fleet
-	// utilization report (DESIGN.md §14). Nil-safe, integer-only — the
-	// NoteDecision calls below stay on the zero-alloc hot path.
+	// tracer receives one instant per fission decision (nil-safe no-op
+	// when unset).
+	tracer *obs.TraceBuilder
+	// occ counts the fission decisions, fit and unfit, with their
+	// demand/supply accounting for the fleet utilization report
+	// (DESIGN.md §14). Nil-safe, integer-only — the NoteDecision calls
+	// below stay on the zero-alloc hot path.
 	occ *obs.Occupancy
 
 	// cps caches Cfg.CyclesPerSecond(): predictTime runs for every task
@@ -107,21 +106,15 @@ func NewSpatial(cfg arch.Config) *Spatial {
 // Name implements sim.Policy.
 func (s *Spatial) Name() string { return "Planaria" }
 
-// SetObserver implements obs.Observable: every Allocate invocation counts
-// as a decision, split into fit (all minimal demands co-locate) and unfit
-// (admission competition) outcomes; each fission decision also lands as
-// an instant on the "sched" timeline track with the demand/capacity pair.
-func (s *Spatial) SetObserver(o *obs.Observer) {
-	reg := o.Registry()
-	s.cDecisions = reg.Counter("sched_decisions_total")
-	s.cFit = reg.Counter("sched_fit_total")
-	s.cUnfit = reg.Counter("sched_unfit_total")
-	s.tracer = o.Tracer()
-}
+// SetObserver implements obs.Observable: each fission decision lands as
+// an instant on the "sched" timeline track with its fit/unfit verdict
+// and the demand/capacity pair.
+func (s *Spatial) SetObserver(tb *obs.TraceBuilder) { s.tracer = tb }
 
 // SetOccupancy implements obs.OccupancyAware: every fission decision
 // reports its fit/unfit outcome and demand-vs-supply unit counts to the
-// occupancy accountant, the demand-pressure side of the fleet
+// occupancy accountant, whose Decisions/FitDecisions are the policy's
+// decision tallies and the demand-pressure side of the fleet
 // utilization report.
 func (s *Spatial) SetOccupancy(o *obs.Occupancy) { s.occ = o }
 
@@ -201,8 +194,6 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		// skipping the score/sort machinery for.
 		t := tasks[0]
 		e := s.EstimateResources(t, now, total)
-		s.cDecisions.Inc()
-		s.cFit.Inc()
 		s.occ.NoteDecision(true, int64(e), int64(total))
 		if s.tracer != nil {
 			s.tracer.Instant("sched", obs.Fmt("fission: fit %d tasks").Int(1), now,
@@ -226,9 +217,7 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		s.est[i] = e
 		sum += e
 	}
-	s.cDecisions.Inc()
 	if sum <= total {
-		s.cFit.Inc()
 		s.occ.NoteDecision(true, int64(sum), int64(total))
 		if s.tracer != nil {
 			s.tracer.Instant("sched", obs.Fmt("fission: fit %d tasks").Int(len(tasks)), now,
@@ -239,7 +228,6 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		s.allocateFitInto(tasks, s.est, total, dst)
 		return
 	}
-	s.cUnfit.Inc()
 	s.occ.NoteDecision(false, int64(sum), int64(total))
 	if s.tracer != nil {
 		s.tracer.Instant("sched", obs.Fmt("fission: unfit %d tasks").Int(len(tasks)), now,

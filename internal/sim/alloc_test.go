@@ -102,11 +102,10 @@ func TestRefissionOffRunAllocParity(t *testing.T) {
 // queue) comes from pooled state, the event loop itself allocates
 // nothing, and a warm trace, ledger and occupancy reuse their storage.
 //
-// With an observer attached, a run records about 150 timeline events
-// into the same builder every time and pins the same count: the engine
-// writes nothing to the observer's registry, and the timeline allocates
-// only when a 1024-event chunk fills or its track table doubles, never
-// per event.
+// With a timeline attached, a run records about 150 timeline events
+// into the same builder every time and pins the same count: the
+// timeline allocates only when a 1024-event chunk fills or its track
+// table doubles, never per event.
 func TestNodeRunAllocs(t *testing.T) {
 	const wantAllocs = 13
 	node, prog := testNode(t, nil)
@@ -117,7 +116,7 @@ func TestNodeRunAllocs(t *testing.T) {
 		reqs = append(reqs, req(i, float64(i)*iso/3, 8*iso, 1+i%11))
 	}
 	for _, sinks := range []string{"untraced", "traced", "trace+attrib+occ", "MeetsSLA", "observe"} {
-		node.Trace, node.Attrib, node.Occ, node.Obs = nil, nil, nil, nil
+		node.Trace, node.Attrib, node.Occ, node.Timeline = nil, nil, nil, nil
 		if sinks == "traced" || sinks == "trace+attrib+occ" {
 			node.Trace = &Trace{}
 		}
@@ -125,7 +124,7 @@ func TestNodeRunAllocs(t *testing.T) {
 			node.Attrib, node.Occ = obs.NewLedger(0), obs.NewOccupancy(0)
 		}
 		if sinks == "observe" {
-			node.Obs = obs.New()
+			node.Timeline = obs.NewTraceBuilder(1e6)
 		}
 		run := func() {
 			if node.Trace != nil {

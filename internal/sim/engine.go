@@ -83,20 +83,19 @@ type Node struct {
 	// The optional sinks, each folded from the run's event stream
 	// (observe.go); with all four nil, observability costs one untaken
 	// branch per event. Trace records the serving timeline (arrivals,
-	// allocation changes, preemptions, queue samples, completions). Obs's
-	// timeline builder receives tracks on simulated time (request
-	// lifecycle spans, per-task allocation counters, queue occupancy);
-	// the engine writes nothing to its registry, since every run tally is
-	// an Outcome field.
+	// allocation changes, preemptions, queue samples, completions).
+	// Timeline receives tracks on simulated time (request lifecycle
+	// spans, per-task allocation counters, queue occupancy); every run
+	// tally is an Outcome field.
 	// Attrib receives per-request phase attribution (DESIGN.md §14):
 	// queue-wait, compute, preempt-stall, retry-backoff and fault-stall
 	// boundaries plus the terminal cause, addressed by input-slice
 	// position; Run resizes it to len(reqs). Occ splits every interval's
 	// wall-cycles into busy/reconfig/faulted/idle unit-cycles.
-	Trace  *Trace
-	Obs    *obs.Observer
-	Attrib *obs.Ledger
-	Occ    *obs.Occupancy
+	Trace    *Trace
+	Timeline *obs.TraceBuilder
+	Attrib   *obs.Ledger
+	Occ      *obs.Occupancy
 	// PenaltyScale multiplies every re-allocation penalty (tile drain,
 	// checkpoint DMA, configuration load). 0 = free preemption, 1 =
 	// default; used by the reconfiguration-cost sensitivity ablation.
@@ -228,7 +227,7 @@ func (r *run) simulate(n *Node, reqs []workload.Request) (*Outcome, error) {
 // event kind is one method. Run takes the state from runPool, so
 // back-to-back simulations (cluster shards, sweeps, benchmarks) reuse its
 // buffers instead of paying a large-allocation zeroing tax per run. Task
-// records are engine-owned: nothing in an Outcome, Trace, or observer
+// records are engine-owned: nothing in an Outcome, Trace, or timeline
 // references them, and policies must not retain *Task pointers across
 // calls (the scheduling contract), so a record is free for reuse the
 // moment its request retires or sheds. Every buffer is appended from
@@ -388,7 +387,7 @@ func (r *run) start(n *Node, total int) {
 		r.refis = rf
 	}
 	r.lastDepth, r.lastRunning = -1, -1
-	r.observed = n.Trace != nil || n.Obs.Tracer() != nil || n.Attrib != nil || n.Occ != nil
+	r.observed = n.Trace != nil || n.Timeline != nil || n.Attrib != nil || n.Occ != nil
 	if r.observed {
 		r.attach(n)
 	}

@@ -202,7 +202,7 @@ func checkObserved(t *testing.T, node *Node, reqs []workload.Request, out *Outco
 func checkVerdict(t *testing.T, node Node, newPolicy func() Policy, faults func() *fault.Injector, reqs []workload.Request, out *Outcome, err error) {
 	t.Helper()
 	node.Policy = newPolicy()
-	node.Trace, node.Obs, node.Attrib, node.Occ = nil, nil, nil, nil
+	node.Trace, node.Timeline, node.Attrib, node.Occ = nil, nil, nil, nil
 	if faults != nil {
 		node.Faults = faults()
 	}
@@ -258,7 +258,7 @@ func FuzzNodeRun(f *testing.F) {
 		}
 		observed := extra&2 != 0
 		if observed {
-			node.Trace, node.Obs = &Trace{}, obs.New()
+			node.Trace, node.Timeline = &Trace{}, obs.NewTraceBuilder(1e6)
 			node.Attrib, node.Occ = obs.NewLedger(0), obs.NewOccupancy(0)
 		}
 		policies := []func() Policy{
@@ -308,7 +308,7 @@ func FuzzNodeRun(f *testing.F) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		node.Policy = newPolicy()
-		node.Trace, node.Obs, node.Attrib, node.Occ = nil, nil, nil, nil
+		node.Trace, node.Timeline, node.Attrib, node.Occ = nil, nil, nil, nil
 		if faults != nil {
 			node.Faults = faults()
 		}

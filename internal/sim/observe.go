@@ -28,7 +28,7 @@ type views struct {
 //
 //perf:cold per-run setup: runs once before the event loop
 func (r *run) attach(n *Node) {
-	r.views = views{trace: n.Trace, tracer: n.Obs.Tracer(), led: n.Attrib, occ: n.Occ, occFrom: r.now}
+	r.views = views{trace: n.Trace, tracer: n.Timeline, led: n.Attrib, occ: n.Occ, occFrom: r.now}
 	r.led.Reset(len(r.reqs))
 	r.occ.SetUnits(int64(r.total))
 	// A typical request contributes arrival + alloc + finish plus a queue

@@ -70,10 +70,9 @@ func countKinds(tr *sim.Trace) map[sim.EventKind]int {
 func runEngine(t *testing.T, name string, pol sim.Policy) *sim.Node {
 	t.Helper()
 	node, iso := engineNode(t, pol)
-	o := obs.New()
-	node.Obs = o.Named(name)
+	node.Timeline = obs.NewTraceBuilder(1e6)
 	if ob, ok := pol.(obs.Observable); ok {
-		ob.SetObserver(node.Obs)
+		ob.SetObserver(node.Timeline)
 	}
 	if _, err := node.Run(colocated(iso)); err != nil {
 		t.Fatalf("%s run: %v", name, err)
@@ -91,7 +90,7 @@ func runEngine(t *testing.T, name string, pol sim.Policy) *sim.Node {
 	if kinds[sim.EvFinish] != 3 {
 		t.Errorf("%s trace finished %d of 3 requests", name, kinds[sim.EvFinish])
 	}
-	if o.Trace.Len() == 0 {
+	if node.Timeline.Len() == 0 {
 		t.Errorf("%s recorded no timeline events", name)
 	}
 	return node
