@@ -65,11 +65,14 @@ type Aggregate struct {
 }
 
 // stream generates the request stream of workload instance inst of one
-// evaluation point, seeded by the instance. Evaluate and the max-QPS
-// votes both simulate it on a fresh node.
+// evaluation point, seeded by the instance. Evaluate simulates it on a
+// fresh node; the max-QPS votes rebuild it from the instance's draws.
 func stream(sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options, inst int) ([]workload.Request, error) {
-	return workload.Generate(sc, lvl, qps, opt.Requests, opt.Seed+int64(inst)*7919)
+	return workload.Generate(sc, lvl, qps, opt.Requests, instanceSeed(opt, inst))
 }
+
+// instanceSeed is the seed of workload instance inst.
+func instanceSeed(opt Options, inst int) int64 { return opt.Seed + int64(inst)*7919 }
 
 // instance simulates workload instance inst of one evaluation point in
 // full.
@@ -179,20 +182,30 @@ func Majority(n int, vote func(inst int) (bool, error)) (bool, error) {
 	return yes >= need, nil
 }
 
-// meetsAt reports whether a majority of instances meet the SLA at qps,
-// simulating only the instances Majority needs to decide, each only until
-// its verdict is certain (sim.Node.MeetsSLA).
-func meetsAt(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float64, opt Options) (bool, error) {
-	if err := opt.validate(); err != nil {
-		return false, err
+// voter returns one max-QPS search's vote at a rate: whether a majority
+// of instances meet the SLA there, simulating only the instances Majority
+// needs to decide, each only until its verdict is certain
+// (sim.Node.MeetsSLA). Each instance's stream is the one stream()
+// generates at the rate, rebuilt from draws made at the instance's first
+// vote into the buffer of its previous one. Only the goroutine voting for
+// an instance touches its slots, and a rate's votes all finish before the
+// next rate's begin. opt must be valid.
+func voter(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Options) func(qps float64) (bool, error) {
+	draws := make([]*workload.Draws, opt.Instances)
+	reqs := make([][]workload.Request, opt.Instances)
+	return func(qps float64) (bool, error) {
+		return Majority(opt.Instances, func(inst int) (bool, error) {
+			if draws[inst] == nil {
+				d, err := workload.NewDraws(sc, lvl, opt.Requests, instanceSeed(opt, inst))
+				if err != nil {
+					return false, err
+				}
+				draws[inst] = d
+			}
+			reqs[inst] = draws[inst].At(qps, reqs[inst][:0])
+			return sys.node().MeetsSLA(reqs[inst])
+		})
 	}
-	return Majority(opt.Instances, func(inst int) (bool, error) {
-		reqs, err := stream(sc, lvl, qps, opt, inst)
-		if err != nil {
-			return false, err
-		}
-		return sys.node().MeetsSLA(reqs)
-	})
 }
 
 // Throughput finds the maximum sustainable QPS under the SLA: MaxQPS over
@@ -200,9 +213,13 @@ func meetsAt(sys System, sc workload.Scenario, lvl workload.QoSLevel, qps float6
 // vote stops once its verdict is fixed, and each instance's run once its
 // own SLA verdict is (sim.Node.MeetsSLA), so an error in an instance the
 // vote never ran, or one that a run would have hit after its verdict was
-// fixed, is not seen.
+// fixed, is not seen. An instance's random draws are made once per
+// search, not once per probed rate.
 func Throughput(sys System, sc workload.Scenario, lvl workload.QoSLevel, opt Options) (float64, error) {
-	return MaxQPS(func(qps float64) (bool, error) { return meetsAt(sys, sc, lvl, qps, opt) })
+	if err := opt.validate(); err != nil {
+		return 0, err
+	}
+	return MaxQPS(voter(sys, sc, lvl, opt))
 }
 
 // MaxQPS finds the highest arrival rate meets accepts: it doubles from

@@ -119,7 +119,7 @@ func TestThroughputFindsSaturation(t *testing.T) {
 		t.Fatalf("throughput %g hit the search cap — workload cannot saturate", tp)
 	}
 	// The found rate must itself satisfy the SLA...
-	ok, err := meetsAt(sys, sc, workload.QoSHard, tp, fastOpt())
+	ok, err := voter(sys, sc, workload.QoSHard, fastOpt())(tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestThroughputFindsSaturation(t *testing.T) {
 		t.Errorf("reported throughput %g does not meet the SLA", tp)
 	}
 	// ...and the SLA must fail well above it.
-	ok, err = meetsAt(sys, sc, workload.QoSHard, tp*4, fastOpt())
+	ok, err = voter(sys, sc, workload.QoSHard, fastOpt())(tp * 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,8 @@ func (p *refToken) decide(now float64, tasks []*sim.Task, total int) int {
 
 // FuzzTokenDecide replays fuzz-chosen round sequences through Token and
 // the reference and requires the same dispatched position, the same
-// token for every task and the same decision, switch and max-token
-// counts, round after round. Each round takes 1+2k bytes:
+// token for every task, current entries for exactly the round's tasks
+// and the same decision, switch and max-token counts, round after round. Each round takes 1+2k bytes:
 // a time step and slot count, then per slot an (ID, state) pair. Slots
 // draw from six IDs in any order, so tasks arrive, depart and rejoin; a
 // repeated ID shares one record, which the engine never passes but the
@@ -145,17 +145,9 @@ func FuzzTokenDecide(f *testing.F) {
 			if dst[wantPos] != 1 {
 				t.Fatalf("round %d: dispatched %v, reference picked position %d", round, dst, wantPos)
 			}
-			current := 0
-			for _, st := range got.state {
-				if st.round == got.round {
-					current++
-				}
-			}
-			if current != len(want.tokens) {
-				t.Fatalf("round %d: %d current token entries, reference keeps %d", round, current, len(want.tokens))
-			}
+			checkEntries(t, got, tasks)
 			for _, task := range tasks {
-				if g, w := got.state[task.ID].token, want.tokens[task.ID]; g != w {
+				if g, w := got.entries[got.index[task.ID]].token, want.tokens[task.ID]; g != w {
 					t.Fatalf("round %d: task %d token %v, reference %v", round, task.ID, g, w)
 				}
 			}

@@ -99,13 +99,44 @@ func TestFinishedTasksForgotten(t *testing.T) {
 	pol := NewToken(cfg)
 	a := mkTask(0, 5, p)
 	pol.Allocate(0, []*sim.Task{a}, 1)
-	if len(pol.state) != 1 {
-		t.Fatalf("tokens = %d, want 1", len(pol.state))
+	checkEntries(t, pol, []*sim.Task{a})
+	if len(pol.entries) != 1 {
+		t.Fatalf("tokens = %d, want 1", len(pol.entries))
 	}
 	b := mkTask(1, 5, p)
 	pol.Allocate(1, []*sim.Task{b}, 1)
-	if _, ok := pol.state[a.ID]; ok {
+	checkEntries(t, pol, []*sim.Task{b})
+	if _, ok := pol.index[a.ID]; ok || len(pol.entries) != 1 {
 		t.Fatal("departed task still holds a token")
+	}
+}
+
+// checkEntries requires that the entries stamped with the policy's
+// current round belong to exactly the IDs of tasks, the round just
+// decided, and that the index maps every ID to its entry.
+func checkEntries(t *testing.T, p *Token, tasks []*sim.Task) {
+	t.Helper()
+	if len(p.index) != len(p.entries) {
+		t.Fatalf("index holds %d IDs for %d entries", len(p.index), len(p.entries))
+	}
+	current := map[int]bool{}
+	for j, e := range p.entries {
+		if p.index[e.id] != j {
+			t.Fatalf("index maps task %d to entry %d, it sits at %d", e.id, p.index[e.id], j)
+		}
+		if e.round == p.round {
+			current[e.id] = true
+		}
+	}
+	ids := map[int]bool{}
+	for _, task := range tasks {
+		ids[task.ID] = true
+		if !current[task.ID] {
+			t.Fatalf("task %d of the current round holds no current entry", task.ID)
+		}
+	}
+	if len(current) != len(ids) {
+		t.Fatalf("%d current entries for the round's %d tasks", len(current), len(ids))
 	}
 }
 
@@ -120,7 +151,7 @@ func TestQuantumPositive(t *testing.T) {
 // TestTokenNodeRunAllocs pins the allocations of one warm Node.Run under
 // PREMA, beside sim's TestNodeRunAllocs: three for the Outcome and its
 // two slices, the rest for the monolithic chip's power breakdown behind the
-// leakage charge, and none for the token decisions, whose state map and
+// leakage charge, and none for the token decisions, whose entries, index and
 // scratch stay warm from the previous run.
 func TestTokenNodeRunAllocs(t *testing.T) {
 	const wantAllocs = 9

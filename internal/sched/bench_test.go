@@ -9,14 +9,15 @@ import (
 )
 
 // BenchmarkSpatialAllocateInto times one Algorithm 1 decision on fixed
-// queues of 2, 9 and 32 tasks with mixed priorities and deadlines: the
+// queues of 2 to 1024 tasks with mixed priorities and deadlines: the
 // two-task queue co-locates (the fit path with proportional rounding),
-// the longer ones over-subscribe the chip (the unfit admission sort).
+// the longer ones over-subscribe the chip (the unfit admission
+// selection, which stops once the chip is full however deep the queue).
 func BenchmarkSpatialAllocateInto(b *testing.B) {
 	cfg := arch.Planaria()
 	prog := toyProg(b, cfg)
 	iso := cfg.Seconds(prog.Table(cfg.NumSubarrays()).TotalCycles)
-	for _, n := range []int{2, 9, 32} {
+	for _, n := range []int{2, 9, 32, 256, 1024} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
 			tasks := make([]*sim.Task, n)
 			for i := range tasks {

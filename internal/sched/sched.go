@@ -46,11 +46,14 @@ type Spatial struct {
 	// Scratch buffers reused across AllocateInto invocations. The engine
 	// calls the policy from one goroutine, once per scheduling event;
 	// keeping these on the policy makes steady-state scheduling
-	// allocation-free.
+	// allocation-free. A buffer too small for the queue is replaced by
+	// one twice the queue's length, so a queue that deepens one task at
+	// a time reallocates O(log n) times, not at every event.
 	est      []int
 	scores   []float64
 	fr       []allocFrac
 	order    []scoredTask
+	fits     []int
 	admitted []int
 }
 
@@ -82,16 +85,10 @@ type scoredTask struct {
 	score float64
 }
 
-// byScoreDesc orders admission scores by (score desc, id asc) — likewise
-// a total order.
-func byScoreDesc(a, b scoredTask) int {
-	if a.score != b.score {
-		if a.score > b.score {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.id, b.id)
+// admitsBefore reports whether a comes before b in admission order:
+// (score desc, id asc), likewise a total order.
+func admitsBefore(a, b scoredTask) bool {
+	return a.score > b.score || (a.score == b.score && a.id < b.id)
 }
 
 // minSlack floors the slack used in the unfit score so expired tasks
@@ -208,7 +205,7 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		return
 	}
 	if cap(s.est) < len(tasks) {
-		s.est = make([]int, len(tasks))
+		s.est = make([]int, len(tasks), 2*len(tasks))
 	}
 	s.est = s.est[:len(tasks)]
 	sum := 0
@@ -244,7 +241,7 @@ func (s *Spatial) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 // equal progress).
 func (s *Spatial) allocateFitInto(tasks []*sim.Task, est []int, total int, dst []int) {
 	if cap(s.scores) < len(tasks) {
-		s.scores = make([]float64, len(tasks))
+		s.scores = make([]float64, len(tasks), 2*len(tasks))
 	}
 	scores := s.scores[:len(tasks)]
 	var scoreSum float64
@@ -268,7 +265,7 @@ func (s *Spatial) allocateFitInto(tasks []*sim.Task, est []int, total int, dst [
 	// Proportional shares with largest-remainder rounding, capped so no
 	// task exceeds the total.
 	if cap(s.fr) < len(tasks) {
-		s.fr = make([]allocFrac, 0, len(tasks))
+		s.fr = make([]allocFrac, 0, 2*len(tasks))
 	}
 	fr := s.fr[:0]
 	granted := 0
@@ -301,10 +298,27 @@ func (s *Spatial) allocateFitInto(tasks []*sim.Task, est []int, total int, dst [
 // demand) — favouring high priority, tight slack, and small demand — until
 // the chip is full. Leftover subarrays (when the next demands do not fit)
 // top up the admitted tasks in score order.
+//
+// The admission order (admitsBefore) is a total order, so any selection
+// that yields the queue in that order admits the same tasks. A full sort
+// ranks the whole queue, but admission stops long before the end of a
+// deep one: once the chip is full, or once some task is admitted and no
+// task left has an estimate that fits what remains, every later task
+// would be skipped. The queue is therefore heapified in place and popped
+// only until one of those holds; fits counts the unpopped tasks by
+// estimate to tell the second case.
 func (s *Spatial) allocateUnfitInto(now float64, tasks []*sim.Task, est []int, total int, dst []int) {
 	if cap(s.order) < len(tasks) {
-		s.order = make([]scoredTask, 0, len(tasks))
+		s.order = make([]scoredTask, 0, 2*len(tasks))
 	}
+	// fits[v] counts the unpopped tasks whose estimate is v, with every
+	// estimate above total in fits[total+1]: remaining never exceeds
+	// total, so those never fit.
+	if cap(s.fits) < total+2 {
+		s.fits = make([]int, total+2)
+	}
+	fits := s.fits[:total+2]
+	clear(fits)
 	order := s.order[:0]
 	for i, t := range tasks {
 		slack := t.Slack(now)
@@ -312,21 +326,34 @@ func (s *Spatial) allocateUnfitInto(now float64, tasks []*sim.Task, est []int, t
 			slack = minSlack
 		}
 		e := est[i]
+		fits[min(e, total+1)]++
 		if e < 1 {
 			e = 1
 		}
 		order = append(order, scoredTask{idx: i, id: t.ID, score: float64(t.Req.Priority) / (slack * float64(e))})
 	}
 	s.order = order
-	slices.SortFunc(order, byScoreDesc)
+	heapify(order)
 
 	remaining := total
 	admitted := s.admitted[:0]
-	for _, sc := range order {
+	// minFit is the smallest estimate among the unpopped tasks (total+1
+	// when none fits at all); it only grows as tasks are popped.
+	minFit := 0
+	for heap := order; len(heap) > 0; {
 		if remaining <= 0 {
 			break
 		}
+		for fits[minFit] == 0 {
+			minFit++
+		}
+		if len(admitted) > 0 && minFit > remaining {
+			break
+		}
+		var sc scoredTask
+		sc, heap = popHeap(heap)
 		e := est[sc.idx]
+		fits[min(e, total+1)]--
 		if e > remaining {
 			// Cannot give the full estimate; admit with what remains only
 			// if nothing else was admitted yet (keep the chip busy).
@@ -359,6 +386,46 @@ func (s *Spatial) allocateUnfitInto(now float64, tasks []*sim.Task, est []int, t
 			break
 		}
 	}
+}
+
+// heapify arranges h as a binary heap whose root comes first in
+// admission order.
+func heapify(h []scoredTask) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// popHeap removes the heap's root and returns it with the shrunk heap.
+func popHeap(h []scoredTask) (scoredTask, []scoredTask) {
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	if last > 0 {
+		siftDown(h, 0)
+	}
+	return top, h
+}
+
+// siftDown restores the heap order below position i, moving children up
+// into the hole rather than swapping.
+func siftDown(h []scoredTask, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && admitsBefore(h[r], h[c]) {
+			c = r
+		}
+		if !admitsBefore(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 var _ sim.Policy = (*Spatial)(nil)

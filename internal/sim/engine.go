@@ -138,8 +138,10 @@ func (n *Node) Run(reqs []workload.Request) (*Outcome, error) {
 // node: Run(reqs).MeetsSLA, without simulating what the verdict does not
 // need. The run stops as soon as some domain can no longer meet the SLA
 // (verdict.go), so an error a full run would hit after that point is not
-// seen and false is returned instead. With any sink attached the run goes
-// to the end, so every sink sees a whole run.
+// seen and false is returned instead. A run that goes to the end takes
+// its verdict from the same per-domain tally, so it fills no per-request
+// slice and prices no energy. With any sink attached the run is a full
+// Run, so every sink sees a whole run.
 //
 //perf:hot the max-QPS searches' vote: one call per instance per probed rate
 func (n *Node) MeetsSLA(reqs []workload.Request) (bool, error) {
@@ -154,9 +156,10 @@ func (n *Node) MeetsSLA(reqs []workload.Request) (bool, error) {
 	return out.MeetsSLA, nil
 }
 
-// simulate is Run on the pooled state r. In a verdict-only run (see
-// MeetsSLA) that stops early, the Outcome is partial and its MeetsSLA is
-// false.
+// simulate is Run on the pooled state r. A verdict-only run (see
+// MeetsSLA) returns the run's own verdictOut, whose MeetsSLA is the
+// verdict and whose other fields are partial; it lives until the state
+// goes back to the pool.
 func (r *run) simulate(n *Node, reqs []workload.Request) (*Outcome, error) {
 	if n.Policy == nil {
 		return nil, fmt.Errorf("sim: node has no policy")
@@ -298,6 +301,10 @@ type run struct {
 	doomed      bool
 	lateAt      float64
 	doms        []domTally
+	// verdictOut is a verdict-only run's Outcome, kept on the pooled
+	// state so such a run allocates none: it has no per-request slices,
+	// and finish leaves everything but MeetsSLA as the run left it.
+	verdictOut Outcome
 }
 
 var runPool = sync.Pool{New: func() any { return new(run) }}
@@ -357,13 +364,6 @@ func (r *run) start(n *Node, total int) {
 	for i := range reqs {
 		r.prioSum += float64(reqs[i].Priority)
 	}
-	r.out = &Outcome{
-		Finishes: make([]float64, len(reqs)),
-		Latency:  make([]float64, len(reqs)),
-	}
-	for i := range r.out.Finishes {
-		r.out.Finishes[i] = -1
-	}
 	if r.binds == nil {
 		r.binds = make(map[string]*progBinding, len(n.Programs))
 	}
@@ -393,7 +393,16 @@ func (r *run) start(n *Node, total int) {
 	}
 	r.verdictOnly = r.verdictOnly && !r.observed
 	if r.verdictOnly {
+		r.out = &r.verdictOut
 		r.startTally()
+		return
+	}
+	r.out = &Outcome{
+		Finishes: make([]float64, len(reqs)),
+		Latency:  make([]float64, len(reqs)),
+	}
+	for i := range r.out.Finishes {
+		r.out.Finishes[i] = -1
 	}
 }
 
@@ -896,8 +905,10 @@ func (r *run) retire() {
 			r.emit(Event{Time: now, Kind: EvFinish, Task: t.ID, Model: t.Req.Model, Depth: t.Preemptions, Pos: int32(t.pos), Cause: obs.CauseDone})
 		}
 		lat := now - t.Req.Arrival
-		r.out.Finishes[t.pos] = now
-		r.out.Latency[t.pos] = lat
+		if !r.verdictOnly {
+			r.out.Finishes[t.pos] = now
+			r.out.Latency[t.pos] = lat
+		}
 		r.out.EnergyJ += t.EnergyJ
 		// PREMA: PP = (T_iso / T_multi) / (priority / Σ priority).
 		if lat > 0 {
@@ -916,9 +927,16 @@ func (r *run) retire() {
 }
 
 // finish closes the outcome: makespan, chip leakage and fission-support
-// overhead power over the busy time, fairness, and the SLA verdict.
+// overhead power over the busy time, fairness, and the SLA verdict. A
+// verdict-only run that drained has retired, shed or rejected every
+// request, so its tally of certain misses is final: the SLA holds unless
+// some domain's tally already doomed the run.
 func (r *run) finish() *Outcome {
 	out, n := r.out, r.n
+	if r.verdictOnly {
+		out.MeetsSLA = !r.doomed
+		return out
+	}
 	out.Makespan = r.now - r.reqs[r.pos(0)].Arrival
 	out.EnergyJ += (energy.LeakageWatts(n.Cfg, n.Params) + energy.OverheadWatts(n.Cfg)) * out.BusyTime
 	// Fairness is PREMA's min_{i,j} PP_i / PP_j = min PP / max PP.

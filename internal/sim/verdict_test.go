@@ -195,3 +195,30 @@ func TestMeetsSLADeadlineBoundary(t *testing.T) {
 		t.Fatalf("MeetsSLA = %v, %v; want true, nil: a finish at deadline + Eps is on time", meets, err)
 	}
 }
+
+// TestMarkLateBoundary pins markLate's on-time boundary. At a clock equal
+// to a task's Deadline+simtime.Eps the task can still finish on time (a
+// finish at that instant is on time), so it is not counted as a miss and
+// that instant comes back as the next one to check; one ulp later it is
+// a certain miss, counted once. A test of "at or past" instead of "past"
+// would count it at the boundary. No run-level test sees that: it changes
+// only how early a doomed run stops, never the verdict.
+func TestMarkLateBoundary(t *testing.T) {
+	r := &run{reqs: []workload.Request{req(0, 0, 1, 5)}}
+	r.startTally()
+	task := &Task{ID: 0, Req: r.reqs[0], pos: 0}
+	d := task.Req.Deadline + simtime.Eps
+	r.now = d
+	if next := r.markLate(task, math.Inf(1)); task.late || next != d || r.doms[0].misses != 0 {
+		t.Fatalf("at deadline + Eps: late %v, next %g (want %g), %d misses; want on time",
+			task.late, next, d, r.doms[0].misses)
+	}
+	r.now = math.Nextafter(d, math.Inf(1))
+	if next := r.markLate(task, 7); !task.late || next != 7 || r.doms[0].misses != 1 {
+		t.Fatalf("one ulp past deadline + Eps: late %v, next %g (want 7), %d misses; want one miss",
+			task.late, next, r.doms[0].misses)
+	}
+	if next := r.markLate(task, 7); next != 7 || r.doms[0].misses != 1 {
+		t.Fatalf("a late task marked again: next %g, %d misses; want 7 and still one", next, r.doms[0].misses)
+	}
+}

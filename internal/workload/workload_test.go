@@ -237,3 +237,62 @@ func TestSLAOutcomeFlatMatchesRecords(t *testing.T) {
 		}
 	}
 }
+
+// generateLoop is Generate's loop as it stood before the draws were split
+// from the arrival instants: one seeded source per stream, drawing a gap,
+// a model and a priority per request.
+func generateLoop(sc Scenario, level QoSLevel, qps float64, n int, seed int64) ([]Request, error) {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]Request, 0, n)
+	t := 0.0
+	for i := 0; i < n; i++ {
+		t += rng.ExpFloat64() / qps
+		model := sc.Models[rng.Intn(len(sc.Models))]
+		r, err := NewRequest(i, t, model, rng.Intn(11)+1, level)
+		if err != nil {
+			return nil, err
+		}
+		reqs = append(reqs, r)
+	}
+	return reqs, nil
+}
+
+// TestDrawsMatchGenerateLoop pins the shared-draws path to the old
+// per-stream loop bit for bit: one Draws per seed, rebuilt at rates that
+// a max-QPS search probes (up, down and at fractional values) into the
+// previous rate's buffer, must give the loop's stream at every rate, and
+// so must Generate.
+func TestDrawsMatchGenerateLoop(t *testing.T) {
+	rates := []float64{0.5, 1, 2, 64, 2048, 1536, 1792, 1664, 1728, 333.3, 1 << 20}
+	for _, sc := range Scenarios() {
+		for _, level := range Levels {
+			for _, seed := range []int64{1, 7920, -3, 1<<40 + 17} {
+				d, err := NewDraws(sc, level, 150, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf []Request
+				for _, qps := range rates {
+					want, err := generateLoop(sc, level, qps, 150, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf = d.At(qps, buf[:0])
+					gen, err := Generate(sc, level, qps, 150, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(buf) != len(want) || len(gen) != len(want) {
+						t.Fatalf("%d and %d requests, want %d", len(buf), len(gen), len(want))
+					}
+					for i := range want {
+						if buf[i] != want[i] || gen[i] != want[i] {
+							t.Fatalf("%s %s seed %d at %g QPS: request %d is %+v from the draws, %+v from Generate, %+v from the loop",
+								sc.Name, level.Name, seed, qps, i, buf[i], gen[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
