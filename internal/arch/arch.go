@@ -1,7 +1,7 @@
 // Package arch describes the Planaria chip organization: the PE array and
-// its fission granularity, Fission Pods with their Pod Memory, ring buses
-// and crossbars, the space of fission shapes a logical accelerator can
-// take, and the runtime reconfiguration state (§III–IV of the paper).
+// its fission granularity, Fission Pods, the space of fission shapes a
+// logical accelerator can take, and the subarray health mask (§III–IV of
+// the paper).
 package arch
 
 import "fmt"
@@ -112,18 +112,6 @@ func (c Config) ConfigSwapCycles(n int) int64 {
 		return int64(n)
 	}
 	return int64(n) + int64(float64(n)*float64(c.InstrBufBytes)/bpc)
-}
-
-// WeightBufPerSubarray returns the weight-buffer capacity private to one
-// subarray; weight buffers live inside the PEs, so they partition evenly.
-func (c Config) WeightBufPerSubarray() int64 {
-	return c.WgtBufBytes / int64(c.NumSubarrays())
-}
-
-// PodMemBytes returns the Pod Memory capacity of one Fission Pod
-// (activation + output buffers are co-located there, §IV-B).
-func (c Config) PodMemBytes() int64 {
-	return (c.ActBufBytes + c.OutBufBytes) / int64(c.Pods)
 }
 
 // Validate checks internal consistency of a configuration.

@@ -19,9 +19,6 @@ func TestPlanariaConfig(t *testing.T) {
 	if total := c.ActBufBytes + c.WgtBufBytes + c.OutBufBytes; total != 12<<20 {
 		t.Errorf("total SRAM = %d, want 12 MB", total)
 	}
-	if c.WeightBufPerSubarray() != (4<<20)/16 {
-		t.Errorf("WeightBufPerSubarray = %d", c.WeightBufPerSubarray())
-	}
 }
 
 func TestMonolithicConfig(t *testing.T) {
@@ -156,99 +153,6 @@ func TestShapeString(t *testing.T) {
 	s := Shape{Clusters: 2, H: 8, W: 1}
 	if got := s.String(); got != "(256x32)-2" {
 		t.Errorf("String = %q, want (256x32)-2", got)
-	}
-}
-
-func TestChipScenarios(t *testing.T) {
-	c := Planaria()
-	sc := EnumerateChipScenarios(c)
-	// Integer partitions of 16.
-	if len(sc) != 231 {
-		t.Fatalf("scenario count = %d, want 231 partitions of 16", len(sc))
-	}
-	for _, parts := range sc {
-		sum := 0
-		prev := 17
-		for _, p := range parts {
-			if p < 1 || p > 16 || p > prev {
-				t.Fatalf("malformed partition %v", parts)
-			}
-			prev = p
-			sum += p
-		}
-		if sum != 16 {
-			t.Fatalf("partition %v sums to %d", parts, sum)
-		}
-	}
-}
-
-func TestSubarrayConfigRoundTrip(t *testing.T) {
-	f := func(b uint8) bool {
-		b &= 0x3F // 6-bit register
-		return UnpackSubarrayConfig(b).Pack() == b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPodMemConfigRoundTrip(t *testing.T) {
-	f := func(b uint8) bool {
-		return UnpackPodMemConfig(b).Pack() == b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChipStateStaging(t *testing.T) {
-	c := Planaria()
-	st := NewChipState(c)
-	shape := Shape{Clusters: 1, H: 2, W: 2}
-	if err := st.StageShape(0, shape, 7); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(st.OwnedBy(7)); got != 4 {
-		t.Fatalf("owner 7 owns %d subarrays, want 4", got)
-	}
-	if st.FreeCount() != 12 {
-		t.Fatalf("FreeCount = %d, want 12", st.FreeCount())
-	}
-	// Active registers change only at Commit.
-	if st.Current[0] != (SubarrayConfig{}) {
-		t.Fatal("Current changed before Commit")
-	}
-	st.Commit()
-	if st.Current[0].LinkE != true || st.Current[0].LinkS != true {
-		t.Fatalf("top-left subarray links = %+v", st.Current[0])
-	}
-	st.Release(7)
-	if st.FreeCount() != 16 {
-		t.Fatalf("FreeCount after release = %d, want 16", st.FreeCount())
-	}
-}
-
-func TestChipStateSerpentine(t *testing.T) {
-	c := Planaria()
-	st := NewChipState(c)
-	// A 1×(2 rows × 4 cols) cluster: the second logical row must run
-	// activations right-to-left (serpentine).
-	if err := st.StageShape(0, Shape{Clusters: 1, H: 2, W: 4}, 1); err != nil {
-		t.Fatal(err)
-	}
-	st.Commit()
-	if st.Current[0].ActReverse {
-		t.Error("row 0 should flow left-to-right")
-	}
-	if !st.Current[4].ActReverse {
-		t.Error("row 1 should flow right-to-left (omni-directional)")
-	}
-}
-
-func TestChipStateBounds(t *testing.T) {
-	st := NewChipState(Planaria())
-	if err := st.StageShape(14, Shape{Clusters: 1, H: 2, W: 2}, 1); err == nil {
-		t.Fatal("expected out-of-range error")
 	}
 }
 

@@ -100,37 +100,3 @@ func EnumerateShapes(c Config, s int) []Shape {
 func MonolithicShape(c Config) Shape {
 	return Shape{Clusters: 1, H: c.ArrayRows / c.SubRows, W: c.ArrayCols / c.SubCols}
 }
-
-// EnumerateChipScenarios returns the chip-level co-location scenarios:
-// the unordered partitions of the chip's subarrays into logical
-// accelerator sizes. Each scenario is a non-increasing list of sizes
-// summing to NumSubarrays.
-//
-// For the 16-subarray chip this enumeration yields 231 partitions; the
-// paper reports 65 scenarios, reflecting placement constraints of the
-// physical ring-bus floorplan that the paper does not fully specify.
-// The scheduler does not depend on this count — it allocates integer
-// subarray counts, all of which are realizable.
-func EnumerateChipScenarios(c Config) [][]int {
-	n := c.NumSubarrays()
-	var out [][]int
-	var cur []int
-	var rec func(remaining, maxPart int)
-	rec = func(remaining, maxPart int) {
-		if remaining == 0 {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		limit := maxPart
-		if remaining < limit {
-			limit = remaining
-		}
-		for p := limit; p >= 1; p-- {
-			cur = append(cur, p)
-			rec(remaining-p, p)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(n, n)
-	return out
-}

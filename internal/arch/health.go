@@ -11,23 +11,13 @@ import "fmt"
 // Algorithm 1 only considers fission configurations whose subarrays and
 // chaining links are alive.
 //
-// Chaining feasibility is judged in the serpentine ring order the
-// reconfiguration state uses (ChipState.StageShape): a cluster of k
-// subarrays needs k consecutive usable subarrays so its ring-bus
-// chaining links are all alive; single-subarray clusters need no links
-// at all.
+// Chaining feasibility is judged in the serpentine ring order: a
+// cluster of k subarrays needs k consecutive usable subarrays so its
+// ring-bus chaining links are all alive; single-subarray clusters need
+// no links at all.
 type HealthMask struct {
 	// Usable[i] is subarray i's availability.
 	Usable []bool
-}
-
-// FullHealth returns the all-alive mask for a configuration.
-func FullHealth(c Config) HealthMask {
-	u := make([]bool, c.NumSubarrays())
-	for i := range u {
-		u[i] = true
-	}
-	return HealthMask{Usable: u}
 }
 
 // Alive returns the number of usable subarrays.
@@ -50,11 +40,6 @@ func (m HealthMask) Fraction() float64 {
 	return float64(m.Alive()) / float64(len(m.Usable))
 }
 
-// Degraded reports whether any subarray is masked out.
-func (m HealthMask) Degraded() bool {
-	return m.Alive() < len(m.Usable)
-}
-
 // MaxChainable returns the length of the longest run of consecutive
 // usable subarrays in chain order — the largest single cluster the
 // surviving hardware can still realize. Zero when nothing is usable.
@@ -71,61 +56,6 @@ func (m HealthMask) MaxChainable() int {
 		}
 	}
 	return best
-}
-
-// runs returns the lengths of the maximal usable runs in chain order,
-// in positional order.
-func (m HealthMask) runs() []int {
-	var rs []int
-	run := 0
-	for _, u := range m.Usable {
-		if u {
-			run++
-		} else if run > 0 {
-			rs = append(rs, run)
-			run = 0
-		}
-	}
-	if run > 0 {
-		rs = append(rs, run)
-	}
-	return rs
-}
-
-// Placeable reports whether the shape's clusters can be laid out on the
-// surviving subarrays: each cluster claims H·W consecutive usable
-// subarrays (first-fit over the usable runs, largest clusters first is
-// unnecessary since all clusters of one shape are the same size).
-func (m HealthMask) Placeable(sh Shape) bool {
-	if len(m.Usable) == 0 {
-		return true // no health tracking: everything is alive
-	}
-	need := sh.H * sh.W
-	if need <= 0 || sh.Clusters <= 0 {
-		return false
-	}
-	placed := 0
-	for _, r := range m.runs() {
-		placed += r / need
-	}
-	return placed >= sh.Clusters
-}
-
-// FeasibleShapes filters EnumerateShapes(c, s) down to the shapes the
-// surviving hardware can realize, preserving the deterministic
-// enumeration order.
-func (m HealthMask) FeasibleShapes(c Config, s int) []Shape {
-	all := EnumerateShapes(c, s)
-	if len(m.Usable) == 0 {
-		return all
-	}
-	out := make([]Shape, 0, len(all))
-	for _, sh := range all {
-		if m.Placeable(sh) {
-			out = append(out, sh)
-		}
-	}
-	return out
 }
 
 // Validate checks the mask's dimensions against a configuration.

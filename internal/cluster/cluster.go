@@ -58,7 +58,7 @@ type Config struct {
 
 	// BatchWindow is the per-model batching window in simulated seconds.
 	// <= 0 disables the batching stage entirely (every request dispatches
-	// at its admit instant, untouched).
+	// at its admit instant, untouched); NaN and +Inf are errors.
 	BatchWindow float64
 	// MaxBatch caps a batch's size; reaching it closes the window early.
 	// <= 0 means unbounded. A batch's work follows BatchAlpha.
@@ -106,6 +106,9 @@ func (c *Config) validate() error {
 	}
 	if c.System.NewPolicy == nil {
 		return fmt.Errorf("cluster: system %q has no policy constructor", c.System.Name)
+	}
+	if math.IsNaN(c.BatchWindow) || math.IsInf(c.BatchWindow, 1) {
+		return fmt.Errorf("cluster: BatchWindow %g is not a finite time", c.BatchWindow)
 	}
 	if c.Faults != nil && len(c.Faults) != c.Chips {
 		return fmt.Errorf("cluster: %d fault schedules for %d chips", len(c.Faults), c.Chips)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"planaria/internal/arch"
@@ -543,6 +544,33 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := Run(tc.cfg, tc.rs); err == nil {
 			t.Errorf("%s: Run accepted a bad config", tc.name)
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteBatchWindow: a NaN or +Inf batching window is
+// an error naming BatchWindow; any window ≤ 0, −Inf included, disables
+// batching.
+func TestRunRejectsNonFiniteBatchWindow(t *testing.T) {
+	sys := spatialSystem(t)
+	reqs := genReqs(4, 100, 1, 1)
+	for _, c := range []struct {
+		window float64
+		bad    bool
+	}{
+		{math.NaN(), true},
+		{math.Inf(1), true},
+		{math.Inf(-1), false},
+		{-1, false},
+		{0, false},
+		{5e-4, false},
+	} {
+		_, err := Run(Config{System: sys, Chips: 1, BatchWindow: c.window}, reqs)
+		if c.bad && (err == nil || !strings.Contains(err.Error(), "BatchWindow")) {
+			t.Errorf("BatchWindow %g: err = %v, want an error naming BatchWindow", c.window, err)
+		}
+		if !c.bad && err != nil {
+			t.Errorf("BatchWindow %g: %v", c.window, err)
 		}
 	}
 }

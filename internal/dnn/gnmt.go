@@ -6,12 +6,11 @@ import "fmt"
 // per-timestep LSTM GEMMs cannot be batched across time, which the Repeat
 // field expresses (see DESIGN.md §3 for the substitution rationale).
 const (
-	gnmtHidden   = 1024
-	gnmtLayers   = 8
-	gnmtSeqLen   = 12
-	gnmtBeam     = 4
-	gnmtVocab    = 32000
-	gnmtSELayers = 0 // no SE in GNMT; named to keep constants grouped
+	gnmtHidden = 1024
+	gnmtLayers = 8
+	gnmtSeqLen = 12
+	gnmtBeam   = 4
+	gnmtVocab  = 32000
 )
 
 // GNMT builds the Google NMT translation model as the sequence of GEMMs a

@@ -8,9 +8,7 @@
 // The engine computes in *flow coordinates*: partial sums advance in the
 // +row direction and activations in the +column direction. The
 // omni-directional feature — which physical edge is "first" — is a
-// routing concern handled by the mux network; internal/arch produces and
-// validates those per-subarray direction/link bits (see
-// ChipState.StageShape and the serpentine tests). Here the physically
+// routing concern handled by the mux network. Here the physically
 // routed cluster appears as a straight logical array with pipeline
 // boundary registers between subarrays.
 //

@@ -152,8 +152,8 @@ func Generate(sc Scenario, level QoSLevel, qps float64, n int, seed int64) ([]Re
 	if err != nil {
 		return nil, err
 	}
-	if qps <= 0 {
-		return nil, fmt.Errorf("workload: need a positive qps (%g)", qps)
+	if !(qps > 0) || math.IsInf(qps, 1) {
+		return nil, fmt.Errorf("workload: need a positive finite qps (%g)", qps)
 	}
 	return d.At(qps, nil), nil
 }

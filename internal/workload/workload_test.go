@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"planaria/internal/dnn"
@@ -90,8 +91,16 @@ func TestGenerateRejectsBadArgs(t *testing.T) {
 	if _, err := Generate(Scenario{Name: "empty"}, QoSSoft, 10, 10, 1); err == nil {
 		t.Error("empty scenario accepted")
 	}
-	if _, err := Generate(ScenarioA(), QoSSoft, 0, 10, 1); err == nil {
-		t.Error("zero qps accepted")
+	for _, qps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Generate(ScenarioA(), QoSSoft, qps, 10, 1)
+		if err == nil || !strings.Contains(err.Error(), "qps") {
+			t.Errorf("qps %g: err = %v, want an error naming qps", qps, err)
+		}
+	}
+	// NewDraws checks first: an empty scenario with a bad rate reports
+	// the scenario.
+	if _, err := Generate(Scenario{Name: "empty"}, QoSSoft, math.NaN(), 10, 1); err == nil || !strings.Contains(err.Error(), "has no models") {
+		t.Errorf("empty scenario at NaN qps: err = %v, want the scenario's error", err)
 	}
 	if _, err := Generate(ScenarioA(), QoSSoft, 10, 0, 1); err == nil {
 		t.Error("zero count accepted")
