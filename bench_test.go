@@ -13,6 +13,7 @@ package planaria
 // regenerates the same artifacts at full fidelity.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -241,6 +242,46 @@ func BenchmarkServeElastic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := acc.Serve(reqs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeOverload serves Workload-B at QoS-H and 2000 QPS on one
+// chip, well past what the chip sustains, with the spatial scheduler and
+// with elastic re-fission, at 10k and 20k requests. The queue grows with
+// the run, so the time per request at 20k over that at 10k shows how a
+// policy's per-event cost scales with queue depth: Spatial's unfit
+// admission stops once the chip is full, while Elastic prices and plans
+// every queued task at every event.
+func BenchmarkServeOverload(b *testing.B) {
+	for _, elastic := range []bool{false, true} {
+		newAcc, name := NewAccelerator, "spatial"
+		if elastic {
+			newAcc, name = NewElasticAccelerator, "elastic"
+		}
+		acc, err := newAcc(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := Scenarios()[1]
+		for _, m := range sc.Models {
+			if err := acc.Deploy(MustModel(m)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, n := range []int{10000, 20000} {
+			reqs, err := GenerateWorkload(sc, QoSHard, 2000, n, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("policy=%s/requests=%d", name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := acc.Serve(reqs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -54,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -492,8 +493,8 @@ func parseList[T any](spec, name, noun string, parse func(string) (T, error)) ([
 func parseRates(spec string) ([]float64, error) {
 	return parseList(spec, "-fault-rates", "rates", func(part string) (float64, error) {
 		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r < 0 {
-			return 0, fmt.Errorf("bad fault rate %q (want a non-negative number)", part)
+		if err != nil || !(r >= 0) || math.IsInf(r, 1) {
+			return 0, fmt.Errorf("bad fault rate %q (want a finite non-negative number)", part)
 		}
 		return r, nil
 	})
@@ -539,9 +540,10 @@ func runChaos(suite *experiments.Suite, f *cli) error {
 	return f.writeArtifact("BENCH_chaos.json", j)
 }
 
-// parseChips decodes a -chips list ("1,2,4").
-func parseChips(spec string) ([]int, error) {
-	return parseList(spec, "-chips", "cluster sizes", func(part string) (int, error) {
+// parseChips decodes a list of cluster sizes ("1,2,4") given to the
+// flag name, such as -chips or -statics.
+func parseChips(spec, name string) ([]int, error) {
+	return parseList(spec, name, "cluster sizes", func(part string) (int, error) {
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
 			return 0, fmt.Errorf("bad cluster size %q (want a positive integer)", part)
@@ -570,7 +572,7 @@ func runCluster(suite *experiments.Suite, f *cli) error {
 	o.Elastic = f.elastic
 	var err error
 	if f.given["chips"] {
-		if o.Chips, err = parseChips(f.chips); err != nil {
+		if o.Chips, err = parseChips(f.chips, "-chips"); err != nil {
 			return err
 		}
 	}
@@ -631,7 +633,7 @@ func runAutoscale(suite *experiments.Suite, f *cli) error {
 		}
 	}
 	if f.given["statics"] {
-		if o.Statics, err = parseChips(f.statics); err != nil {
+		if o.Statics, err = parseChips(f.statics, "-statics"); err != nil {
 			return err
 		}
 	}

@@ -94,7 +94,7 @@ func TestParseRates(t *testing.T) {
 			t.Fatalf("parseRates = %v, want %v", got, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-3", "1;2"} {
+	for _, bad := range []string{"", "x", "-3", "1;2", "NaN", "nan", "Inf", "+Inf", "-Inf", "1,inf"} {
 		if _, err := parseRates(bad); err == nil {
 			t.Errorf("parseRates(%q) accepted", bad)
 		}
@@ -102,7 +102,7 @@ func TestParseRates(t *testing.T) {
 }
 
 func TestParseChips(t *testing.T) {
-	got, err := parseChips("1, 2,4")
+	got, err := parseChips("1, 2,4", "-chips")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,13 @@ func TestParseChips(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "x", "0", "-2", "1;2"} {
-		if _, err := parseChips(bad); err == nil {
+		if _, err := parseChips(bad, "-chips"); err == nil {
 			t.Errorf("parseChips(%q) accepted", bad)
 		}
+	}
+	// An empty list names the flag it came from.
+	if _, err := parseChips(" , ", "-statics"); err == nil || !strings.Contains(err.Error(), "-statics") {
+		t.Errorf("parseChips for -statics: error %v does not name -statics", err)
 	}
 }
 

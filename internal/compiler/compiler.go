@@ -242,29 +242,6 @@ func (p *Program) LayerJoules(params energy.Params) (rows, sums [][]float64) {
 // MaxAlloc returns the largest allocation the program was compiled for.
 func (p *Program) MaxAlloc() int { return len(p.tables) }
 
-// RemainingByAlloc writes, for every allocation a in 1..MaxAlloc, the
-// cycles left from the given progress point into out[a-1] and returns
-// out (extended if too short). Each entry is bit-identical to
-// Table(a).RemainingCycles at the same progress — the elastic planner
-// uses this to price every candidate subarray count in one pass
-// instead of 16 Table lookups. Progress is (layer, fraction of that
-// layer's work done); the fraction converts to whole tiles per table,
-// exactly as the simulator tracks it.
-func (p *Program) RemainingByAlloc(layer int, frac float64, out []int64) []int64 {
-	if cap(out) < len(p.tables) {
-		out = make([]int64, len(p.tables))
-	}
-	out = out[:len(p.tables)]
-	for i, tab := range p.tables {
-		var tilesDone int64
-		if layer >= 0 && layer < len(tab.Layers) {
-			tilesDone = int64(frac * float64(tab.Layers[layer].Tiles))
-		}
-		out[i] = tab.RemainingCycles(layer, tilesDone)
-	}
-	return out
-}
-
 // Binary lowers a configuration table to the macro-instruction stream the
 // per-subarray sequencers execute. Per layer: CONFIG, then per tile
 // LDW/LDA/MATMUL/STORE (vector layers emit VECTOR), with a SYNC at each

@@ -9,7 +9,10 @@
 // inputs only; the package holds no clocks and no global randomness.
 package refission
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Candidate describes one in-flight task to the planner.
 type Candidate struct {
@@ -44,13 +47,22 @@ type Candidate struct {
 // should own each Planner (the engine invokes policies from one
 // goroutine, matching this contract).
 type Planner struct {
-	order      []int
-	donors     []int
-	victims    []int
-	scoreSort  scoreSorter
-	headerSort headroomSorter
-	victimSort victimSorter
-	topupSort  topupSorter
+	order   []ranked
+	topup   []ranked
+	holders []int
+	spares  []int
+	donors  []int
+	victims []ranked
+}
+
+// ranked is one candidate's sort key: its index in the candidate slice
+// plus the fields the planner's orders compare, copied so a sort reads
+// no candidate through an index.
+type ranked struct {
+	score float64
+	id    int
+	cur   int
+	idx   int
 }
 
 // Plan writes the new allocation for cands[i] into out[i] (len(out)
@@ -85,6 +97,14 @@ type Planner struct {
 //     strictly higher-scored tasks below Max, so an urgent task never
 //     runs at exactly Min while a relaxed one hoards slack.
 //
+// Donations and evictions only ever take from holders, the tasks that
+// hold subarrays when the grant pass starts. The planner keeps their
+// indices in a list — at most capacity of them — so each starved task
+// costs a walk over the chip's tenants, not over the whole queue.
+// Grantees never join the list: a grant ends at or below Min, so a
+// grantee has nothing to donate, and every later grantee ranks behind
+// it, so none may evict it. An evictee stays, holding nothing.
+//
 //perf:hot re-fission decision inside the engine's per-event loop; scratch buffers reused across plans
 func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 	if len(cands) == 0 {
@@ -99,6 +119,7 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 
 	// Base: keep current allocations, clamped to what exists.
 	sum := 0
+	holders := p.holders[:0]
 	for i, c := range cands {
 		a := c.Cur
 		if a < 0 {
@@ -109,13 +130,17 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 		}
 		out[i] = a
 		sum += a
+		if a > 0 {
+			holders = append(holders, i)
+		}
 	}
+	p.holders = holders
 	// Capacity deficit (the chip shrank under the running set): peel
 	// subarrays off the largest holder, breaking ties toward the lowest
 	// score and then the highest ID, until the plan fits.
 	for sum > capacity {
 		v := -1
-		for i := range cands {
+		for _, i := range holders {
 			if out[i] == 0 {
 				continue
 			}
@@ -135,17 +160,15 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 	// tasks untouched, except that a fully starved grantee still takes
 	// the free-plus-donation pool as a partial grant — the chip never
 	// idles capacity while work is queued.
-	if cap(p.order) < len(cands) {
-		p.order = make([]int, 0, len(cands))
-	}
 	order := p.order[:0]
 	for i := range cands {
-		order = append(order, i)
+		c := &cands[i]
+		order = append(order, ranked{score: c.Score, id: c.ID, cur: c.Cur, idx: i})
 	}
 	p.order = order
-	p.scoreSort.idx, p.scoreSort.cands = order, cands
-	sort.Sort(&p.scoreSort)
-	for _, i := range order {
+	slices.SortFunc(order, byAdmission)
+	for _, r := range order {
+		i := r.idx
 		m := clampMin(&cands[i], capacity)
 		need := m - out[i]
 		if need <= 0 {
@@ -158,8 +181,15 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 			// fund (donors a little short, an outscored task covering the
 			// rest), leaving an admissible arrival with nothing.
 			short := need - free
-			dp := donorPotential(cands, out, capacity)
-			ep := evictPotential(cands, out, i)
+			dp := p.donorPotential(cands, out, capacity)
+			ep := p.evictPotential(cands, out, i)
+			if free == 0 && dp == 0 && ep == 0 {
+				// Nothing can fund this grantee, and nothing can fund any
+				// later one: no grant frees capacity or creates spares,
+				// and a later grantee outscores only tasks this one
+				// outscores too.
+				break
+			}
 			if dp+ep >= short {
 				if dp > 0 {
 					w := short
@@ -187,7 +217,7 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 		// to fund a crawl. Donors end at Min, so re-planning the result
 		// finds an empty pool and the plan stays a fixed point.
 		if out[i] == 0 {
-			avail := free + donorPotential(cands, out, capacity)
+			avail := free + p.donorPotential(cands, out, capacity)
 			if avail > need {
 				avail = need
 			}
@@ -202,14 +232,24 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 	}
 
 	// Top-up pass: leftover capacity flows toward Max, most urgent task
-	// first.
+	// first. Its order differs from the admission order only where equal
+	// scores hold different Cur; then it sorts a copy, so order stays in
+	// admission order for the rebalance pass.
 	if free > 0 {
-		p.topupSort.idx, p.topupSort.cands, p.topupSort.out = order, cands, out
-		sort.Sort(&p.topupSort)
-		for _, i := range order {
+		topup := order
+		for k := 1; k < len(order); k++ {
+			if order[k].score == order[k-1].score && order[k].cur != order[k-1].cur {
+				topup = append(p.topup[:0], order...)
+				p.topup = topup
+				slices.SortFunc(topup, byTopup)
+				break
+			}
+		}
+		for _, r := range topup {
 			if free == 0 {
 				break
 			}
+			i := r.idx
 			mx := clampMax(&cands[i], capacity)
 			grow := mx - out[i]
 			if grow <= 0 {
@@ -233,22 +273,37 @@ func (p *Planner) Plan(cands []Candidate, capacity int, out []int) {
 	// state still re-issues the same plan: after a rebalance every
 	// lower-scored comfortable donor is at Min or every receiver is at
 	// Max, and re-planning moves nothing.
-	p.scoreSort.idx, p.scoreSort.cands = order, cands
-	sort.Sort(&p.scoreSort)
-	for _, x := range order {
-		room := clampMax(&cands[x], capacity) - out[x]
-		if room <= 0 {
-			continue
+	//
+	// The donors are the comfortable tasks with spares, in reverse
+	// admission order: the least urgent comfortable task parts with its
+	// spares first. A task receives only on its own turn and gives only
+	// to tasks ahead of it, so no task gains a spare after the list is
+	// built.
+	spares := p.spares[:0]
+	for k := len(order) - 1; k >= 0; k-- {
+		y := order[k].idx
+		if c := &cands[y]; c.Headroom >= c.Margin && out[y] > clampMin(c, capacity) {
+			spares = append(spares, y)
 		}
-		// Donors give in reverse admission order: the least urgent
-		// comfortable task parts with its spares first.
-		for k := len(order) - 1; k >= 0 && room > 0; k-- {
-			y := order[k]
-			if y == x || cands[y].Headroom < cands[y].Margin {
-				continue
+	}
+	p.spares = spares
+	if len(spares) == 0 {
+		return
+	}
+	for _, r := range order {
+		x := r.idx
+		if !outscores(&cands[x], &cands[spares[0]]) {
+			// This task, and every one after it, ranks behind every donor.
+			break
+		}
+		room := clampMax(&cands[x], capacity) - out[x]
+		for _, y := range spares {
+			if room <= 0 {
+				break
 			}
 			if !outscores(&cands[x], &cands[y]) {
-				continue
+				// Every later donor ranks ahead of this one.
+				break
 			}
 			give := out[y] - clampMin(&cands[y], capacity)
 			if give <= 0 {
@@ -275,9 +330,9 @@ func outscores(a, b *Candidate) bool {
 
 // donorPotential sums what shrinkDonors could free: every subarray held
 // above a task's effective minimum.
-func donorPotential(cands []Candidate, out []int, capacity int) int {
+func (p *Planner) donorPotential(cands []Candidate, out []int, capacity int) int {
 	potential := 0
-	for i := range cands {
+	for _, i := range p.holders {
 		if spare := out[i] - clampMin(&cands[i], capacity); spare > 0 {
 			potential += spare
 		}
@@ -287,16 +342,12 @@ func donorPotential(cands []Candidate, out []int, capacity int) int {
 
 // evictPotential sums what evictOutscored could free for the grantee at
 // index g: the whole allocation of every running task it strictly
-// outscores.
-func evictPotential(cands []Candidate, out []int, g int) int {
+// outscores (never itself).
+func (p *Planner) evictPotential(cands []Candidate, out []int, g int) int {
 	potential := 0
 	gc := &cands[g]
-	for i := range cands {
-		if i == g || out[i] == 0 {
-			continue
-		}
-		if cands[i].Score < gc.Score ||
-			(cands[i].Score == gc.Score && cands[i].ID > gc.ID) {
+	for _, i := range p.holders {
+		if outscores(gc, &cands[i]) {
 			potential += out[i]
 		}
 	}
@@ -314,12 +365,9 @@ func evictPotential(cands []Candidate, out []int, g int) int {
 // grant must not perturb the running set, or re-planning the same
 // state would churn allocations instead of reaching a fixed point.
 func (p *Planner) shrinkDonors(cands []Candidate, out []int, capacity, want int) int {
-	if cap(p.donors) < len(cands) {
-		p.donors = make([]int, 0, len(cands))
-	}
 	donors := p.donors[:0]
 	potential := 0
-	for i := range cands {
+	for _, i := range p.holders {
 		if spare := out[i] - clampMin(&cands[i], capacity); spare > 0 {
 			donors = append(donors, i)
 			potential += spare
@@ -329,8 +377,7 @@ func (p *Planner) shrinkDonors(cands []Candidate, out []int, capacity, want int)
 	if potential < want {
 		return 0
 	}
-	p.headerSort.idx, p.headerSort.cands = donors, cands
-	sort.Sort(&p.headerSort)
+	slices.SortFunc(donors, func(a, b int) int { return byComfort(&cands[a], &cands[b]) })
 	freed := 0
 	for _, i := range donors {
 		if freed >= want {
@@ -356,19 +403,12 @@ func (p *Planner) shrinkDonors(cands []Candidate, out []int, capacity, want int)
 // eviction is all-or-nothing: if even the whole outscored pool cannot
 // cover want, nobody is evicted and 0 is returned.
 func (p *Planner) evictOutscored(cands []Candidate, out []int, g, want int) int {
-	if cap(p.victims) < len(cands) {
-		p.victims = make([]int, 0, len(cands))
-	}
 	victims := p.victims[:0]
 	potential := 0
 	gc := &cands[g]
-	for i := range cands {
-		if i == g || out[i] == 0 {
-			continue
-		}
-		if cands[i].Score < gc.Score ||
-			(cands[i].Score == gc.Score && cands[i].ID > gc.ID) {
-			victims = append(victims, i)
+	for _, i := range p.holders {
+		if c := &cands[i]; out[i] > 0 && outscores(gc, c) {
+			victims = append(victims, ranked{score: c.Score, id: c.ID, idx: i})
 			potential += out[i]
 		}
 	}
@@ -376,15 +416,14 @@ func (p *Planner) evictOutscored(cands []Candidate, out []int, g, want int) int 
 	if potential < want {
 		return 0
 	}
-	p.victimSort.idx, p.victimSort.cands = victims, cands
-	sort.Sort(&p.victimSort)
+	slices.SortFunc(victims, byEviction)
 	freed := 0
-	for _, i := range victims {
+	for _, r := range victims {
 		if freed >= want {
 			break
 		}
-		freed += out[i]
-		out[i] = 0
+		freed += out[r.idx]
+		out[r.idx] = 0
 	}
 	return freed
 }
@@ -415,88 +454,56 @@ func clampMax(c *Candidate, capacity int) int {
 	return mx
 }
 
-// scoreSorter orders candidate indices by (score desc, ID asc) — a
-// total order when IDs are unique, so the permutation is stable across
-// runs regardless of sorting algorithm.
-type scoreSorter struct {
-	idx   []int
-	cands []Candidate
-}
-
-func (x *scoreSorter) Len() int      { return len(x.idx) }
-func (x *scoreSorter) Swap(i, j int) { x.idx[i], x.idx[j] = x.idx[j], x.idx[i] }
-func (x *scoreSorter) Less(i, j int) bool {
-	a, b := &x.cands[x.idx[i]], &x.cands[x.idx[j]]
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// byAdmission orders keys by (score desc, ID asc), the admission
+// order — a total order when IDs are unique, so the permutation is
+// stable across runs regardless of sorting algorithm.
+func byAdmission(a, b ranked) int {
+	if a.score != b.score {
+		if a.score > b.score {
+			return -1
+		}
+		return 1
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.id, b.id)
 }
 
-// headroomSorter orders donor indices by (comfortable first, headroom
-// desc, ID asc): tasks whose headroom clears their margin donate before
-// anyone tighter has to, and within a tier the most comfortable task
-// donates first.
-type headroomSorter struct {
-	idx   []int
-	cands []Candidate
-}
+// byEviction orders keys by (score asc, ID desc): the least urgent task
+// loses the chip first, and on a score tie the later arrival (higher
+// ID) loses before the earlier one — the mirror image of the admission
+// order.
+func byEviction(a, b ranked) int { return byAdmission(b, a) }
 
-func (x *headroomSorter) Len() int      { return len(x.idx) }
-func (x *headroomSorter) Swap(i, j int) { x.idx[i], x.idx[j] = x.idx[j], x.idx[i] }
-func (x *headroomSorter) Less(i, j int) bool {
-	a, b := &x.cands[x.idx[i]], &x.cands[x.idx[j]]
-	ac, bc := a.Headroom >= a.Margin, b.Headroom >= b.Margin
-	if ac != bc {
-		return ac
-	}
-	if a.Headroom != b.Headroom {
-		return a.Headroom > b.Headroom
-	}
-	return a.ID < b.ID
-}
-
-// victimSorter orders eviction candidates by (score asc, ID desc): the
-// least urgent task loses the chip first, and on a score tie the later
-// arrival (higher ID) loses before the earlier one — the mirror image
-// of the admission order.
-type victimSorter struct {
-	idx   []int
-	cands []Candidate
-}
-
-func (x *victimSorter) Len() int      { return len(x.idx) }
-func (x *victimSorter) Swap(i, j int) { x.idx[i], x.idx[j] = x.idx[j], x.idx[i] }
-func (x *victimSorter) Less(i, j int) bool {
-	a, b := &x.cands[x.idx[i]], &x.cands[x.idx[j]]
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.ID > b.ID
-}
-
-// topupSorter orders indices by (score desc, current allocation desc,
-// ID asc): spare capacity flows to the most urgent task first — a task
+// byTopup orders keys by (score desc, current allocation desc, ID
+// asc): spare capacity flows to the most urgent task first — a task
 // granted exactly Min would otherwise finish exactly at its deadline,
 // where any penalty tips it over — then to whoever already holds the
 // most. Steady state still re-issues the same plan: after a plan
 // applies, either no capacity is free or every task is at Max, so the
 // top-up order never perturbs a fixed point.
-type topupSorter struct {
-	idx   []int
-	cands []Candidate
-	out   []int
+func byTopup(a, b ranked) int {
+	if a.score != b.score || a.cur == b.cur {
+		return byAdmission(a, b)
+	}
+	return cmp.Compare(b.cur, a.cur)
 }
 
-func (x *topupSorter) Len() int      { return len(x.idx) }
-func (x *topupSorter) Swap(i, j int) { x.idx[i], x.idx[j] = x.idx[j], x.idx[i] }
-func (x *topupSorter) Less(i, j int) bool {
-	a, b := x.idx[i], x.idx[j]
-	if x.cands[a].Score != x.cands[b].Score {
-		return x.cands[a].Score > x.cands[b].Score
+// byComfort orders donors by (comfortable first, headroom desc, ID
+// asc): tasks whose headroom clears their margin donate before anyone
+// tighter has to, and within a tier the most comfortable task donates
+// first.
+func byComfort(a, b *Candidate) int {
+	ac, bc := a.Headroom >= a.Margin, b.Headroom >= b.Margin
+	if ac != bc {
+		if ac {
+			return -1
+		}
+		return 1
 	}
-	if x.cands[a].Cur != x.cands[b].Cur {
-		return x.cands[a].Cur > x.cands[b].Cur
+	if a.Headroom != b.Headroom {
+		if a.Headroom > b.Headroom {
+			return -1
+		}
+		return 1
 	}
-	return x.cands[a].ID < x.cands[b].ID
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -2,6 +2,7 @@ package refission
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -292,13 +293,36 @@ func TestPlanStability(t *testing.T) {
 // FuzzElasticDecision fuzzes the planner over (headroom, capacity,
 // fault-mask) tuples: the mask's population count is the alive
 // capacity, and the seeded candidate set varies with the structure
-// byte. Every accepted input must satisfy the full invariant set and
-// plan identically twice.
+// bytes — n sets the queue length (1 to 256), shape%4 how the queue
+// holds the chip:
+//
+//	0: arbitrary current allocations, often over capacity
+//	1: a deep starved queue behind holders that fit the chip
+//	2: the same with scores drawn from three values, so ties go to IDs
+//	3: every task holding, so the chip starts in deficit
+//
+// Every accepted input must satisfy the full invariant set, plan
+// identically twice, and plan exactly as refPlanner, the planner
+// before its scans were narrowed to holders. The warm planner then
+// plans the queue's first half, so stale scratch from a longer queue
+// must not leak into a shorter one.
 func FuzzElasticDecision(f *testing.F) {
-	f.Add(int64(1), uint16(0xFFFF), 0.01, 0.001, uint8(3))
-	f.Add(int64(7), uint16(0x00FF), -0.02, 0.0, uint8(1))
-	f.Add(int64(42), uint16(0x0001), 0.5, 0.25, uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, mask uint16, headroom, margin float64, n uint8) {
+	f.Add(int64(1), uint16(0xFFFF), 0.01, 0.001, uint8(3), uint8(0))
+	f.Add(int64(7), uint16(0x00FF), -0.02, 0.0, uint8(1), uint8(0))
+	f.Add(int64(42), uint16(0x0001), 0.5, 0.25, uint8(9), uint8(0))
+	// Deep starved queues on a full and a half-dead chip.
+	f.Add(int64(3), uint16(0xFFFF), 0.01, 0.001, uint8(200), uint8(1))
+	f.Add(int64(11), uint16(0x0F0F), -0.01, 0.002, uint8(63), uint8(1))
+	// Score ties across a long queue.
+	f.Add(int64(5), uint16(0xFFFF), 0.02, 0.01, uint8(127), uint8(2))
+	// Capacity deficits: 64 holders on a full chip, 32 on four alive.
+	f.Add(int64(9), uint16(0xFFFF), 0.01, 0.0, uint8(63), uint8(3))
+	f.Add(int64(13), uint16(0x1111), 0.03, 0.01, uint8(31), uint8(3))
+	// Evictions whose surplus re-grants evictees: few holders, many
+	// urgent starved tasks, comfortable donors absent.
+	f.Add(int64(17), uint16(0xFFFF), -0.05, 0.01, uint8(80), uint8(1))
+	f.Add(int64(23), uint16(0x7FFF), -0.05, 0.01, uint8(24), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, mask uint16, headroom, margin float64, n, shape uint8) {
 		// The fault mask determines alive capacity, exactly as the
 		// engine passes the injector's alive count to the policy.
 		capacity := 0
@@ -308,9 +332,34 @@ func FuzzElasticDecision(f *testing.F) {
 		if headroom != headroom || margin != margin { // NaN: planner requires finite inputs
 			t.Skip()
 		}
-		rng := rand.New(rand.NewSource(seed))
-		tasks := 1 + int(n%12)
-		cands := make([]Candidate, tasks)
+		cands := fuzzCands(rand.New(rand.NewSource(seed)), 1+int(n), capacity, headroom, margin, shape%4)
+		var p Planner
+		var ref refPlanner
+		for _, q := range [][]Candidate{cands, cands[:(len(cands)+1)/2]} {
+			out := make([]int, len(q))
+			p.Plan(q, capacity, out)
+			planInvariants(t, q, capacity, out)
+			want := make([]int, len(q))
+			ref.Plan(q, capacity, want)
+			if !slices.Equal(out, want) {
+				t.Fatalf("%d candidates on %d subarrays: plan %v, reference %v", len(q), capacity, out, want)
+			}
+			out2 := make([]int, len(q))
+			p.Plan(q, capacity, out2)
+			if !slices.Equal(out, out2) {
+				t.Fatalf("nondeterministic plan: %v vs %v", out, out2)
+			}
+		}
+	})
+}
+
+// fuzzCands draws FuzzElasticDecision's candidate set; see its comment
+// for the shapes. Shape 0 is the original draw, with IDs in index
+// order; the others permute the IDs so a tie's ID order is unrelated
+// to the candidate order.
+func fuzzCands(rng *rand.Rand, tasks, capacity int, headroom, margin float64, shape uint8) []Candidate {
+	cands := make([]Candidate, tasks)
+	if shape == 0 {
 		for i := range cands {
 			mx := 1 + rng.Intn(16)
 			cands[i] = Candidate{
@@ -323,16 +372,36 @@ func FuzzElasticDecision(f *testing.F) {
 				Margin:   margin,
 			}
 		}
-		var p Planner
-		out := make([]int, tasks)
-		p.Plan(cands, capacity, out)
-		planInvariants(t, cands, capacity, out)
-		out2 := make([]int, tasks)
-		p.Plan(cands, capacity, out2)
-		for i := range out {
-			if out[i] != out2[i] {
-				t.Fatalf("nondeterministic plan: %v vs %v", out, out2)
-			}
+		return cands
+	}
+	ids := rng.Perm(tasks)
+	budget := rng.Intn(capacity + 1)
+	for i := range cands {
+		mx := 1 + rng.Intn(16)
+		c := Candidate{
+			ID:       ids[i],
+			Min:      1 + rng.Intn(mx),
+			Max:      mx,
+			Score:    rng.Float64() * 8,
+			Headroom: headroom * float64(1+rng.Intn(3)),
+			Margin:   margin,
 		}
-	})
+		if rng.Intn(2) == 0 {
+			c.Headroom = -c.Headroom
+		}
+		switch shape {
+		case 2:
+			c.Score = float64(rng.Intn(3))
+			fallthrough
+		case 1:
+			if budget > 0 && rng.Intn(3) == 0 {
+				c.Cur = 1 + rng.Intn(budget)
+				budget -= c.Cur
+			}
+		case 3:
+			c.Cur = 1 + rng.Intn(16)
+		}
+		cands[i] = c
+	}
+	return cands
 }

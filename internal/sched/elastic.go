@@ -26,7 +26,6 @@ type Elastic struct {
 	sp      *Spatial
 	planner refission.Planner
 	cands   []refission.Candidate
-	rem     []int64
 }
 
 // headroomFrac is the comfort deadband as a fraction of the QoS window:
@@ -72,12 +71,13 @@ func (e *Elastic) Allocate(now float64, tasks []*sim.Task, total int) map[int]in
 	return sim.AllocMap(e, now, tasks, total)
 }
 
-// AllocateInto implements sim.SliceAllocator. It prices every
-// candidate subarray count per task in one configuration-table pass,
-// derives each task's minimum (ESTIMATERESOURCES), headroom, and
-// urgency score, and hands the whole set to the re-fission planner —
-// which keeps current allocations wherever feasible, so steady state
-// re-issues the same plan and the engine applies no reallocation.
+// AllocateInto implements sim.SliceAllocator. It derives each task's
+// minimum (ESTIMATERESOURCES), headroom, and urgency score and hands
+// the whole set to the re-fission planner — which keeps current
+// allocations wherever feasible, so steady state re-issues the same
+// plan and the engine applies no reallocation. A task is priced only
+// at the allocations the decision reads: the minimum's scan, its
+// current allocation and, when doomed, the full chain.
 //
 //perf:hot per-event scheduling decision on the engine's zero-alloc fast path
 func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []int) {
@@ -93,19 +93,26 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 	cands := e.cands[:0]
 	demand := 0
 	for _, t := range tasks {
-		e.rem = t.RemainingCyclesByAlloc(e.rem)
-		rem := e.rem
 		slack := t.Slack(now)
-		// The minimum allocation meeting the deadline: the per-alloc
-		// remaining-cycles row replaces EstimateResources' repeated
-		// table lookups but chooses the identical n.
+		// rem is the task's remaining cycles at eff subarrays, eff being
+		// the last allocation priced; the program's tables end at
+		// MaxAlloc, and Table clamps any larger allocation to that last
+		// table, so allocations are compared clamped.
+		lastTab := t.Prog.MaxAlloc()
+		eff, rem := 0, int64(0)
+		// The minimum allocation meeting the deadline: EstimateResources'
+		// scan. chainCap(n) never falls as n grows, so once the priced
+		// allocation stops growing every later n repeats a price that
+		// already missed, and the scan ends. Remaining cycles are never
+		// negative, so no allocation meets a deadline already passed.
 		mn := 0
-		for n := 1; n <= total; n++ {
-			eff := s.chainCap(n)
-			if eff > len(rem) {
-				eff = len(rem)
+		for n := 1; n <= total && slack >= 0; n++ {
+			a := min(s.chainCap(n), lastTab)
+			if a == eff {
+				break
 			}
-			if float64(rem[eff-1])/cps <= slack {
+			eff, rem = a, t.RemainingCycles(a)
+			if float64(rem)/cps <= slack {
 				mn = n
 				break
 			}
@@ -120,11 +127,10 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 		}
 		headroom := 0.0
 		if t.Alloc > 0 {
-			eff := s.chainCap(t.Alloc)
-			if eff > len(rem) {
-				eff = len(rem)
+			if a := min(s.chainCap(t.Alloc), lastTab); a != eff {
+				eff, rem = a, t.RemainingCycles(a)
 			}
-			headroom = slack - float64(rem[eff-1])/cps
+			headroom = slack - float64(rem)/cps
 		}
 		scSlack := slack
 		if doomed {
@@ -133,11 +139,10 @@ func (e *Elastic) AllocateInto(now float64, tasks []*sim.Task, total int, dst []
 			// the score toward infinity, and the planner would evict a
 			// task that can still win for one that has already lost.
 			// Score it by the best it can do instead.
-			eff := maxA
-			if eff > len(rem) {
-				eff = len(rem)
+			if a := min(maxA, lastTab); a != eff {
+				eff, rem = a, t.RemainingCycles(a)
 			}
-			if best := float64(rem[eff-1]) / cps; scSlack < best {
+			if best := float64(rem) / cps; scSlack < best {
 				scSlack = best
 			}
 		}

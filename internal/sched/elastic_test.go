@@ -26,23 +26,21 @@ func elasticNode(t *testing.T, prog *compiler.Program, pol sim.Policy, tr *sim.T
 	}
 }
 
-// TestElasticMinMatchesEstimateResources: the elastic candidate minimum
-// derived from the one-pass per-alloc cost row must be the exact n that
-// Algorithm 1's ESTIMATERESOURCES scan picks.
+// TestElasticMinMatchesEstimateResources: the elastic candidate minimum,
+// the first n whose remaining time fits the slack, must be the exact n
+// that Algorithm 1's ESTIMATERESOURCES scan picks.
 func TestElasticMinMatchesEstimateResources(t *testing.T) {
 	cfg := arch.Planaria()
 	prog := toyProg(t, cfg)
 	s := NewSpatial(cfg)
 	cps := cfg.CyclesPerSecond()
-	var rem []int64
 	for _, deadline := range []float64{1e-9, cfg.Seconds(prog.Table(16).TotalCycles) * 1.05,
 		cfg.Seconds(prog.Table(4).TotalCycles) * 1.01, 10} {
 		task := mkTask(t, 0, prog, deadline, 5)
 		want := s.EstimateResources(task, 0, 16)
-		rem = task.RemainingCyclesByAlloc(rem)
 		got := 0
 		for n := 1; n <= 16; n++ {
-			if float64(rem[n-1])/cps <= task.Slack(0) {
+			if float64(task.RemainingCycles(n))/cps <= task.Slack(0) {
 				got = n
 				break
 			}
@@ -51,7 +49,7 @@ func TestElasticMinMatchesEstimateResources(t *testing.T) {
 			got = 16
 		}
 		if got != want {
-			t.Errorf("deadline %g: per-alloc row picks %d, EstimateResources picks %d", deadline, got, want)
+			t.Errorf("deadline %g: first fitting n is %d, EstimateResources picks %d", deadline, got, want)
 		}
 	}
 }

@@ -213,45 +213,6 @@ func TestRefissionGrowChargeScales(t *testing.T) {
 	}
 }
 
-// TestRemainingCyclesByAllocMatchesScalar: the one-pass per-alloc row
-// the elastic policy prices candidates from must be bit-identical to
-// the scalar RemainingCycles at every allocation, across progress,
-// penalty debt, batch-work scaling, and completion.
-func TestRemainingCyclesByAllocMatchesScalar(t *testing.T) {
-	_, prog := testNode(t, nil)
-	maxA := prog.MaxAlloc()
-	check := func(name string, task *Task) {
-		t.Helper()
-		var out []int64
-		out = task.RemainingCyclesByAlloc(out)
-		if len(out) != maxA {
-			t.Fatalf("%s: row has %d entries, want %d", name, len(out), maxA)
-		}
-		for a := 1; a <= maxA; a++ {
-			if want := task.RemainingCycles(a); out[a-1] != want {
-				t.Errorf("%s: alloc %d: row %d != scalar %d", name, a, out[a-1], want)
-			}
-		}
-	}
-
-	fresh := &Task{ID: 0, Prog: prog, Alloc: 4, Finish: -1}
-	check("fresh", fresh)
-
-	bind := testBinding(prog)
-	mid := &Task{ID: 1, Prog: prog, Alloc: 4, Finish: -1, bind: bind}
-	mid.advance(prog.Table(4).TotalCycles / 3)
-	mid.PenaltyCycles = 123
-	check("mid-progress+penalty", mid)
-
-	batched := &Task{ID: 2, Prog: prog, Alloc: 8, Finish: -1, bind: bind}
-	batched.Req.Work = 3.5
-	batched.advance(prog.Table(8).TotalCycles / 5)
-	check("batched", batched)
-
-	done := &Task{ID: 3, Prog: prog, Alloc: 2, Layer: len(prog.Table(1).Layers), PenaltyCycles: 77}
-	check("done", done)
-}
-
 // TestTileBoundaryCycles pins the re-fission instant's source: the next
 // tile boundary is strictly positive for a running task, never past the
 // task's own remaining work, and degenerates to the documented values

@@ -94,33 +94,6 @@ func (t *Task) RemainingCycles(alloc int) int64 {
 	return rem + t.PenaltyCycles
 }
 
-// RemainingCyclesByAlloc writes the cycles left at every candidate
-// allocation 1..MaxAlloc into out[a-1] (out is extended if too short)
-// and returns out. Each entry is bit-identical to RemainingCycles(a) —
-// the elastic policy prices all subarray counts in one pass per task.
-func (t *Task) RemainingCyclesByAlloc(out []int64) []int64 {
-	if t.Done() {
-		n := t.Prog.MaxAlloc()
-		if cap(out) < n {
-			out = make([]int64, n)
-		}
-		out = out[:n]
-		for i := range out {
-			out[i] = t.PenaltyCycles
-		}
-		return out
-	}
-	out = t.Prog.RemainingByAlloc(t.Layer, t.Frac, out)
-	s := t.workScale()
-	for i, rem := range out {
-		if s != 1 {
-			rem = int64(float64(rem) * s)
-		}
-		out[i] = rem + t.PenaltyCycles
-	}
-	return out
-}
-
 // TileBoundaryCycles returns the cycles until the task next crosses a
 // tile boundary at its current allocation — the natural re-fission
 // instant (§V: reconfiguration happens between tiles, so only one tile
